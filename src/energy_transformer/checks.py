@@ -132,19 +132,6 @@ def check_energy_gradients(
     ]
 
 
-def _random_et_params(rng: np.random.Generator, n: int, d: int, kind: str) -> EtParams:
-    return EtParams(
-        norm=LayerNormParams(gamma=float(rng.uniform(0.5, 1.5)), delta=rng.normal(0, 0.3, d)),
-        attn=AttentionParams(
-            w_key=rng.normal(0, 0.4, (2, 2, d)),
-            w_query=rng.normal(0, 0.4, (2, 2, d)),
-            beta=float(rng.uniform(0.3, 1.5)),
-            mask_mode=_random_mask_mode(kind, n, rng),
-        ),
-        hopfield=HopfieldParams(xi=rng.normal(0, 0.4, (3, d))),
-    )
-
-
 def check_bptt_image(
     tolerance: float = 1e-6,
     seed0: int = 0,

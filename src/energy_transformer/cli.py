@@ -59,8 +59,8 @@ def _echo_config(cfg: RunConfig) -> None:
     print(format_resolved(cfg), end="")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
+def _out_dir(args, cfg: RunConfig) -> Path:
+    out = Path(args.out or cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -202,24 +202,15 @@ def _train_graph(cfg: RunConfig, out: Path) -> int:
         grad_clip=cfg.grad_clip,
         warmup_steps=cfg.warmup_steps,
     )
-    init_kwargs = _graph_init_kwargs(cfg)
-
-    def one(seed):
-        return gr.run_graph_seed(
-            g, seed, train_ratio=cfg.train_ratio, init_kwargs=init_kwargs, cfg=train_cfg
-        )
-
-    workers = min(_threads(), len(seeds))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(seed) for seed in seeds]
-
-    rows = []
-    for k, (seed, (params, metrics, history)) in enumerate(zip(seeds, results)):
+    report = gr.run_graph_seeds(
+        g,
+        seeds,
+        train_ratio=cfg.train_ratio,
+        init_kwargs=_graph_init_kwargs(cfg),
+        cfg=train_cfg,
+        n_workers=min(_threads(), len(seeds)),
+    )
+    for seed, history in zip(seeds, report["histories"]):
         _write_csv(
             out / f"train_log_seed{seed}.csv",
             ["epoch", "loss", "val_macro_f1", "val_auc"],
@@ -228,13 +219,10 @@ def _train_graph(cfg: RunConfig, out: Path) -> int:
                 for r in history
             ],
         )
-        if k == 0:
-            save_checkpoint(gr.graph_params_to_tensors(params), out / "checkpoint.bin")
-        rows.append([seed, "test", metrics["test_macro_f1"], metrics["test_auc"]])
-    f1s = np.array([r[2] for r in rows])
-    aucs = np.array([r[3] for r in rows])
-    rows.append(["mean", "test", float(f1s.mean()), float(aucs.mean())])
-    rows.append(["std", "test", float(f1s.std()), float(aucs.std())])
+    save_checkpoint(gr.graph_params_to_tensors(report["params"][0]), out / "checkpoint.bin")
+    rows = [[r["seed"], "test", r["test_macro_f1"], r["test_auc"]] for r in report["rows"]]
+    rows.append(["mean", "test", report["mean_macro_f1"], report["mean_auc"]])
+    rows.append(["std", "test", report["std_macro_f1"], report["std_auc"]])
     _write_csv(out / "metrics.csv", ["seed", "split", "macro_f1", "auc"], rows)
     print(f"wrote {out / 'checkpoint.bin'} and {out / 'metrics.csv'}")
     return 0
@@ -244,7 +232,7 @@ def cmd_train(args) -> int:
     overrides = {"seed": args.seed} if args.seed is not None else None
     cfg = load_config(args.config, overrides)
     _echo_config(cfg)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
     if cfg.task == "image":
         return _train_image(cfg, out)
@@ -261,7 +249,7 @@ def cmd_eval(args) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval requires --checkpoint")
     tensors = load_checkpoint(cfg.checkpoint)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     if cfg.task == "image":
         _require_image_checkpoint(tensors)
         params = im.image_params_from_tensors(tensors, _image_params_template(cfg))
@@ -333,8 +321,8 @@ def cmd_dump_energy(args) -> int:
     for step, (_, b) in enumerate(traj):
         lines.append(f"{step},{_fmt(b.e_att)},{_fmt(b.e_hn)},{_fmt(b.e_total)}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        out = _out_dir(args)
+    if args.out or cfg.out_dir:
+        out = _out_dir(args, cfg)
         (out / "energy.csv").write_text(text)
         print(f"wrote {out / 'energy.csv'}")
     else:
@@ -353,7 +341,7 @@ def cmd_export_weights(args) -> int:
     params = im.image_params_from_tensors(tensors, _image_params_template(cfg))
     grid = im.export_weights_as_patches(params, args.which)
     prefix = {"hopfield": "mem", "keys": "key", "queries": "query"}[args.which]
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     for i, row in enumerate(grid.patches):
         patch = row.reshape(cfg.channels, params.k_h, params.k_w)
         save_netpbm(out / f"{prefix}_{i:04d}.{'pgm' if cfg.channels == 1 else 'ppm'}", patch)
@@ -365,7 +353,7 @@ def cmd_gen_data(args) -> int:
     overrides = {"seed": args.seed} if args.seed is not None else None
     cfg = load_config(args.config, overrides)
     _echo_config(cfg)
-    out = _out_dir(args)
+    out = _out_dir(args, cfg)
     if cfg.task == "image":
         images = gen_synthetic_images(
             cfg.seed, cfg.n_images, size=cfg.image_size, channels=cfg.channels

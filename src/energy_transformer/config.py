@@ -49,7 +49,7 @@ class RunConfig:
     patch_size: int = 8
     # dynamics
     alpha: float | str = _AUTO       # image 0.1, graph 1.0
-    t: int | str = _AUTO             # image 6, graph 2
+    t: int | str = _AUTO             # image 6, graph 1
     beta: float | str = _AUTO        # 1/sqrt(y)
     mask_mode: str = "exclude_self"  # image attention mask
     enable_attn: bool = True
@@ -123,6 +123,9 @@ class RunConfig:
             # a small head resists memorizing training labels through the
             # per-node embeddings on desk-scale graphs
             self.head_hidden = 16
+        for name in ("batch_size", "n_seeds", "t", "fd_instances"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def n_tokens(self) -> int:
@@ -156,55 +159,16 @@ class RunConfig:
         return ExcludeSelf()
 
 
-_PARSERS = {
-    "task": str,
-    "d": int,
-    "h": int,
-    "y": int,
-    "m": int,
-    "f": int,
-    "head_hidden": int,
-    "image_size": int,
-    "channels": int,
-    "patch_size": int,
-    "alpha": float,
-    "t": int,
-    "beta": float,
-    "mask_mode": str,
-    "enable_attn": _parse_bool,
-    "enable_hopfield": _parse_bool,
-    "allow_self_attention": _parse_bool,
-    "hn_activation": str,
-    "init_std": float,
-    "lr": float,
-    "b1": float,
-    "b2": float,
-    "weight_decay": float,
-    "grad_clip": _parse_clip,
-    "warmup_steps": int,
-    "epochs": int,
-    "batch_size": int,
-    "max_steps": int,
-    "n_occluded": int,
-    "n_replaced": int,
-    "seed": int,
-    "n_images": int,
-    "n_nodes": int,
-    "n_communities": int,
-    "anomaly_rate": float,
-    "shift": float,
-    "p_in": float,
-    "p_out": float,
-    "train_ratio": float,
-    "n_seeds": int,
-    "data_dir": str,
-    "out_dir": str,
-    "checkpoint": str,
-    "tolerance": float,
-    "fd_instances": int,
-    "fd_step": float,
-    "decode_at_min_energy": _parse_bool,
-}
+def _field_parser(f):
+    """Parser for one RunConfig field: the first member of its annotation."""
+    if f.name == "grad_clip":
+        return _parse_clip
+    first = f.type.split("|")[0].strip()
+    return {"int": int, "float": float, "str": str, "bool": _parse_bool}[first]
+
+
+_PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
+
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse key=value lines into typed values; unknown keys are errors."""

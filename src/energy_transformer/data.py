@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -295,3 +297,33 @@ def checkpoint_tensor(tensors: dict[str, Array], name: str, shape: tuple[int, ..
             f"tensor {name!r} has shape {value.shape}, expected {tuple(shape)}"
         )
     return value
+
+
+# A tensor table lists a task's learnable tensors as (checkpoint name,
+# dotted attribute path, decay-exempt) rows.  Its order is the checkpoint
+# layout and the optimizer's summation order, so reordering it changes bytes.
+
+def params_to_tensors(p, table) -> dict[str, Array]:
+    """Flatten the table's fields of `p` to named float64 tensors, in table order."""
+    return {name: np.asarray(attrgetter(path)(p), dtype=np.float64) for name, path, _ in table}
+
+
+def _replace_path(obj, path: str, value):
+    """Copy of `obj` with the field at dotted `path` set to `value`."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_path(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
+def params_from_tensors(tensors: dict[str, Array], like, table):
+    """Rebuild `like` with every table field read from `tensors`.
+
+    Each tensor must have the shape of the field it replaces; 0-d tensors
+    fill scalar fields as Python floats.
+    """
+    out = like
+    for name, path, _ in table:
+        value = checkpoint_tensor(tensors, name, np.shape(attrgetter(path)(like)))
+        out = _replace_path(out, path, float(value) if value.ndim == 0 else value)
+    return out

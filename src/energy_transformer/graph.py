@@ -29,7 +29,7 @@ from .core import (
     et_forward,
     layer_norm,
 )
-from .data import Rng, checkpoint_tensor
+from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import (
     DivergenceError,
     FormatError,
@@ -215,69 +215,33 @@ def init_graph_params(
     )
 
 
-def graph_params_to_tensors(p: GraphTaskParams) -> dict[str, Array]:
-    out = {
-        "embed.kernel": p.embed_kernel,
-        "pos_embed": p.pos_embed,
-        "head.w1": p.head_w1,
-        "head.b1": p.head_b1,
-        "head.w2": p.head_w2,
-        "head.b2": p.head_b2,
-        "et.norm.gamma": np.asarray(p.et.norm.gamma, dtype=np.float64),
-        "et.norm.delta": p.et.norm.delta,
-        "et.attn.w_key": p.et.attn.w_key,
-        "et.attn.w_query": p.et.attn.w_query,
-        "et.attn.beta": np.asarray(p.et.attn.beta, dtype=np.float64),
-        "et.hopfield.xi": p.et.hopfield.xi,
-    }
-    return out
-
-
-GRAPH_DECAY_EXEMPT = frozenset(
-    {
-        "pos_embed",
-        "head.b1",
-        "head.b2",
-        "et.norm.gamma",
-        "et.norm.delta",
-        "et.attn.beta",
-    }
+# (checkpoint name, attribute path, decay-exempt) of every learnable tensor
+GRAPH_TENSORS = (
+    ("embed.kernel", "embed_kernel", False),
+    ("pos_embed", "pos_embed", True),
+    ("head.w1", "head_w1", False),
+    ("head.b1", "head_b1", True),
+    ("head.w2", "head_w2", False),
+    ("head.b2", "head_b2", True),
+    ("et.norm.gamma", "et.norm.gamma", True),
+    ("et.norm.delta", "et.norm.delta", True),
+    ("et.attn.w_key", "et.attn.w_key", False),
+    ("et.attn.w_query", "et.attn.w_query", False),
+    ("et.attn.beta", "et.attn.beta", True),
+    ("et.hopfield.xi", "et.hopfield.xi", False),
 )
+
+GRAPH_DECAY_EXEMPT = frozenset(name for name, _, exempt in GRAPH_TENSORS if exempt)
+
+
+def graph_params_to_tensors(p: GraphTaskParams) -> dict[str, Array]:
+    return params_to_tensors(p, GRAPH_TENSORS)
 
 
 def graph_params_from_tensors(
     tensors: dict[str, Array], like: GraphTaskParams
 ) -> GraphTaskParams:
-    et = like.et
-    new_et = EtParams(
-        norm=replace(
-            et.norm,
-            gamma=float(checkpoint_tensor(tensors, "et.norm.gamma", ())),
-            delta=checkpoint_tensor(tensors, "et.norm.delta", et.norm.delta.shape),
-        ),
-        attn=replace(
-            et.attn,
-            w_key=checkpoint_tensor(tensors, "et.attn.w_key", et.attn.w_key.shape),
-            w_query=checkpoint_tensor(tensors, "et.attn.w_query", et.attn.w_query.shape),
-            beta=float(checkpoint_tensor(tensors, "et.attn.beta", ())),
-        ),
-        hopfield=replace(
-            et.hopfield,
-            xi=checkpoint_tensor(tensors, "et.hopfield.xi", et.hopfield.xi.shape),
-        ),
-        enable_attn=et.enable_attn,
-        enable_hopfield=et.enable_hopfield,
-    )
-    return replace(
-        like,
-        embed_kernel=checkpoint_tensor(tensors, "embed.kernel", like.embed_kernel.shape),
-        pos_embed=checkpoint_tensor(tensors, "pos_embed", like.pos_embed.shape),
-        head_w1=checkpoint_tensor(tensors, "head.w1", like.head_w1.shape),
-        head_b1=checkpoint_tensor(tensors, "head.b1", like.head_b1.shape),
-        head_w2=checkpoint_tensor(tensors, "head.w2", like.head_w2.shape),
-        head_b2=checkpoint_tensor(tensors, "head.b2", like.head_b2.shape),
-        et=new_et,
-    )
+    return params_from_tensors(tensors, like, GRAPH_TENSORS)
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +490,29 @@ def run_graph_seeds(
 ) -> dict:
     """Train over several seeded splits; report per-seed and mean/std metrics.
 
-    Seeds are independent, so they may run on a small thread pool; results
-    do not depend on the schedule.
+    "params" and "histories" hold each seed's trained parameters and
+    per-epoch log, in seed order.  Seeds are independent, so they may run on
+    a small thread pool; results do not depend on the schedule.
     """
-    def one(seed: int) -> dict:
-        _, metrics, _ = run_graph_seed(
+    def one(seed: int):
+        return run_graph_seed(
             g, seed, train_ratio=train_ratio, init_kwargs=init_kwargs, cfg=cfg
         )
-        return {"seed": seed, **metrics}
 
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one, seeds))
+            results = list(pool.map(one, seeds))
     else:
-        rows = [one(seed) for seed in seeds]
+        results = [one(seed) for seed in seeds]
+    rows = [{"seed": seed, **metrics} for seed, (_, metrics, _) in zip(seeds, results)]
     f1s = np.array([r["test_macro_f1"] for r in rows])
     aucs = np.array([r["test_auc"] for r in rows])
     return {
         "rows": rows,
+        "params": [params for params, _, _ in results],
+        "histories": [history for _, _, history in results],
         "mean_macro_f1": float(f1s.mean()),
         "std_macro_f1": float(f1s.std()),
         "mean_auc": float(aucs.mean()),

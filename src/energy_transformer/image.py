@@ -8,13 +8,13 @@ memory module learn meaningful patch content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .core import EtParams, EnergyBreakdown, layer_norm, et_forward, mask_matrix
-from .data import Rng
+from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import DivergenceError, InvalidInputError, ShapeError
 from .optim import AdamState, adam_step
 from .unroll import et_unroll_v, layer_norm_v
@@ -214,76 +214,37 @@ def init_image_params(
     )
 
 
+# (checkpoint name, attribute path, decay-exempt) of every learnable tensor;
+# biases, norms and per-token vectors skip weight decay
+IMAGE_TENSORS = (
+    ("enc.kernel", "enc_kernel", False),
+    ("enc.bias", "enc_bias", True),
+    ("dec.norm.gamma", "dec_norm_gamma", True),
+    ("dec.norm.delta", "dec_norm_delta", True),
+    ("dec.kernel", "dec_kernel", False),
+    ("dec.bias", "dec_bias", True),
+    ("mask_token", "mask_token", True),
+    ("pos_bias", "pos_bias", True),
+    ("et.norm.gamma", "et.norm.gamma", True),
+    ("et.norm.delta", "et.norm.delta", True),
+    ("et.attn.w_key", "et.attn.w_key", False),
+    ("et.attn.w_query", "et.attn.w_query", False),
+    ("et.hopfield.xi", "et.hopfield.xi", False),
+)
+
+IMAGE_DECAY_EXEMPT = frozenset(name for name, _, exempt in IMAGE_TENSORS if exempt)
+
+
 def image_params_to_tensors(p: ImageTaskParams) -> dict[str, Array]:
     """Flatten all learnable tensors to names for the optimizer/checkpoint."""
-    return {
-        "enc.kernel": p.enc_kernel,
-        "enc.bias": p.enc_bias,
-        "dec.norm.gamma": np.asarray(p.dec_norm_gamma, dtype=np.float64),
-        "dec.norm.delta": p.dec_norm_delta,
-        "dec.kernel": p.dec_kernel,
-        "dec.bias": p.dec_bias,
-        "mask_token": p.mask_token,
-        "pos_bias": p.pos_bias,
-        "et.norm.gamma": np.asarray(p.et.norm.gamma, dtype=np.float64),
-        "et.norm.delta": p.et.norm.delta,
-        "et.attn.w_key": p.et.attn.w_key,
-        "et.attn.w_query": p.et.attn.w_query,
-        "et.hopfield.xi": p.et.hopfield.xi,
-    }
-
-
-# names whose parameters skip weight decay (biases, norms, per-token vectors)
-IMAGE_DECAY_EXEMPT = frozenset(
-    {
-        "enc.bias",
-        "dec.norm.gamma",
-        "dec.norm.delta",
-        "dec.bias",
-        "mask_token",
-        "pos_bias",
-        "et.norm.gamma",
-        "et.norm.delta",
-    }
-)
+    return params_to_tensors(p, IMAGE_TENSORS)
 
 
 def image_params_from_tensors(
     tensors: dict[str, Array], like: ImageTaskParams
 ) -> ImageTaskParams:
     """Rebuild structured parameters from named tensors, checking shapes."""
-    from .data import checkpoint_tensor as get
-
-    et = like.et
-    new_et = EtParams(
-        norm=replace(
-            et.norm,
-            gamma=float(get(tensors, "et.norm.gamma", ())),
-            delta=get(tensors, "et.norm.delta", et.norm.delta.shape),
-        ),
-        attn=replace(
-            et.attn,
-            w_key=get(tensors, "et.attn.w_key", et.attn.w_key.shape),
-            w_query=get(tensors, "et.attn.w_query", et.attn.w_query.shape),
-        ),
-        hopfield=replace(
-            et.hopfield, xi=get(tensors, "et.hopfield.xi", et.hopfield.xi.shape)
-        ),
-        enable_attn=et.enable_attn,
-        enable_hopfield=et.enable_hopfield,
-    )
-    return replace(
-        like,
-        enc_kernel=get(tensors, "enc.kernel", like.enc_kernel.shape),
-        enc_bias=get(tensors, "enc.bias", like.enc_bias.shape),
-        dec_norm_gamma=float(get(tensors, "dec.norm.gamma", ())),
-        dec_norm_delta=get(tensors, "dec.norm.delta", like.dec_norm_delta.shape),
-        dec_kernel=get(tensors, "dec.kernel", like.dec_kernel.shape),
-        dec_bias=get(tensors, "dec.bias", like.dec_bias.shape),
-        mask_token=get(tensors, "mask_token", like.mask_token.shape),
-        pos_bias=get(tensors, "pos_bias", like.pos_bias.shape),
-        et=new_et,
-    )
+    return params_from_tensors(tensors, like, IMAGE_TENSORS)
 
 
 # ---------------------------------------------------------------------------

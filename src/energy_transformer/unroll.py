@@ -24,6 +24,18 @@ def layer_norm_v(x: Var, gamma: Var, delta: Var, epsilon: float) -> Var:
     return ad.mul(ad.rsqrt_normalize(ad.mean_subtract(x), epsilon), gamma) + delta
 
 
+def _scores_v(g: Var, w_key: Var, w_query: Var, beta: float | Var):
+    """Head-major projections, keys, queries and scaled scores beta * <Q, K>."""
+    wk = ad.transpose(w_key, (1, 0, 2))   # (H, Y, D)
+    wq = ad.transpose(w_query, (1, 0, 2))
+    gh = ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:])
+    k = ad.matmul(gh, ad.transpose(wk, (0, 2, 1)))  # (..., H, N, Y)
+    q = ad.matmul(gh, ad.transpose(wq, (0, 2, 1)))
+    qk = ad.matmul(q, ad.transpose(k, tuple(range(k.value.ndim - 2)) + (-1, -2)))
+    scores = ad.mul(beta, qk) if isinstance(beta, Var) else ad.scale(qk, beta)
+    return wk, wq, k, q, scores
+
+
 def attention_update_v(
     g: Var,
     w_key: Var,
@@ -32,13 +44,7 @@ def attention_update_v(
     mask: Array,
 ) -> Var:
     """Taped descent direction of the attention energy (see core.attention_grad)."""
-    wk = ad.transpose(w_key, (1, 0, 2))   # (H, Y, D)
-    wq = ad.transpose(w_query, (1, 0, 2))
-    gh = ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:])
-    k = ad.matmul(gh, ad.transpose(wk, (0, 2, 1)))  # (..., H, N, Y)
-    q = ad.matmul(gh, ad.transpose(wq, (0, 2, 1)))
-    qk = ad.matmul(q, ad.transpose(k, tuple(range(k.value.ndim - 2)) + (-1, -2)))
-    scores = ad.mul(beta, qk) if isinstance(beta, Var) else ad.scale(qk, beta)
+    wk, wq, k, q, scores = _scores_v(g, w_key, w_query, beta)
     w = ad.masked_softmax(scores, mask)
     term_from = ad.matmul(ad.matmul(w, k), wq)
     w_t = ad.transpose(w, tuple(range(w.value.ndim - 2)) + (-1, -2))
@@ -115,13 +121,8 @@ def total_energy_v(
     g = layer_norm_v(x, gamma, delta, epsilon)
     parts = []
     if enable_attn:
-        wk = ad.transpose(w_key, (1, 0, 2))
-        wq = ad.transpose(w_query, (1, 0, 2))
-        gh = ad.reshape(g, g.shape[:-2] + (1,) + g.shape[-2:])
-        k = ad.matmul(gh, ad.transpose(wk, (0, 2, 1)))
-        q = ad.matmul(gh, ad.transpose(wq, (0, 2, 1)))
-        qk = ad.matmul(q, ad.transpose(k, tuple(range(k.value.ndim - 2)) + (-1, -2)))
-        lse = ad.masked_logsumexp(ad.scale(qk, beta), mask)
+        *_, scores = _scores_v(g, w_key, w_query, beta)
+        lse = ad.masked_logsumexp(scores, mask)
         parts.append(ad.scale(ad.sum_(lse), -1.0 / beta))
     if enable_hopfield:
         hid = ad.matmul(g, ad.transpose(xi, (1, 0)))

@@ -180,6 +180,14 @@ class TestCliTrainEval:
         assert lines[-1].startswith("std,")
         assert (tmp_path / "g" / "train_log_seed1.csv").exists()
 
+    def test_graph_train_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, GRAPH_CFG)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ET_THREADS", threads)
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / threads)]) == 0
+        for name in ("checkpoint.bin", "metrics.csv", "train_log_seed1.csv", "train_log_seed2.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_export_weights_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG)
         main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
@@ -247,6 +255,18 @@ class TestCliTrainEval:
         cfg2 = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={tmp_path / 'ds'}\n")
         assert main(["train", "--config", cfg2, "--out", str(tmp_path / "run2")]) == 0
 
+    def test_out_dir_key_used_without_out_flag(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"out_dir={run}\n")
+        assert main(["train", "--config", cfg]) == 0
+        assert (run / "checkpoint.bin").exists() and (run / "resolved.cfg").exists()
+        capsys.readouterr()
+        ck = str(run / "checkpoint.bin")
+        assert main(["dump-energy", "--config", cfg, "--checkpoint", ck]) == 0
+        assert "energy_total" not in capsys.readouterr().out
+        rows = (run / "energy.csv").read_text().splitlines()
+        assert rows[0] == "step,energy_att,energy_hn,energy_total" and len(rows) == 4
+
     def test_gen_data_graph(self, tmp_path):
         cfg = write_cfg(tmp_path, GRAPH_CFG)
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "gd")]) == 0
@@ -287,6 +307,21 @@ class TestCliErrors:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG)
         assert main(["eval", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "command, cfg_text",
+        [
+            ("train", IMAGE_CFG + "batch_size=0\n"),
+            ("train", GRAPH_CFG + "n_seeds=0\n"),
+            ("train", IMAGE_CFG + "t=0\n"),
+            ("verify-grad", "fd_instances=0\n"),
+        ],
+        ids=["batch_size", "n_seeds", "t", "fd_instances"],
+    )
+    def test_zero_count_exits_2(self, tmp_path, command, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Seeded RNG streams, synthetic data, netpbm codecs, checkpoints."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +19,9 @@ from energy_transformer.data import (
     save_netpbm,
     write_manifest,
 )
+from energy_transformer import graph as gr
+from energy_transformer import image as im
+from energy_transformer.core import ExcludeSelf, Relu
 from energy_transformer.errors import FormatError, ShapeError
 
 
@@ -189,3 +194,95 @@ class TestCheckpoint:
             + np.array([1.0, -2.5]).astype("<f8").tobytes()
         )
         assert path.read_bytes() == expected
+
+
+def _image_params():
+    return im.init_image_params(
+        n_tokens=4, patch_size=6, d=5, h=2, y=2, m=3, beta=0.8, alpha=0.1,
+        n_steps=2, k_h=1, k_w=6, mask_mode=ExcludeSelf(), activation=Relu(),
+        rng=np.random.default_rng(0),
+    )
+
+
+def _graph_params():
+    g = gr.GraphInstance(
+        n_nodes=4,
+        edges=np.array([[0, 1], [1, 2], [2, 3]]),
+        features=np.random.default_rng(1).normal(0, 1, (4, 3)),
+        labels=np.array([0, 1, 0, 1]),
+    )
+    return gr.init_graph_params(
+        g, d=4, h=2, y=2, m=3, beta=0.9, alpha=0.3, n_steps=1, hidden=4,
+        rng=np.random.default_rng(0),
+    )
+
+
+# (params factory, to_tensors, from_tensors) for each task
+TASKS = {
+    "image": (_image_params, im.image_params_to_tensors, im.image_params_from_tensors),
+    "graph": (_graph_params, gr.graph_params_to_tensors, gr.graph_params_from_tensors),
+}
+
+
+class TestTensorTables:
+    # the checkpoint layout and Adam's summation order: changing either
+    # changes every checkpoint byte and every trained weight
+    def test_image_names_in_checkpoint_order(self):
+        names = [
+            "enc.kernel", "enc.bias", "dec.norm.gamma", "dec.norm.delta",
+            "dec.kernel", "dec.bias", "mask_token", "pos_bias",
+            "et.norm.gamma", "et.norm.delta", "et.attn.w_key",
+            "et.attn.w_query", "et.hopfield.xi",
+        ]
+        assert [name for name, _, _ in im.IMAGE_TENSORS] == names
+        assert list(im.image_params_to_tensors(_image_params())) == names
+
+    def test_graph_names_in_checkpoint_order(self):
+        names = [
+            "embed.kernel", "pos_embed", "head.w1", "head.b1", "head.w2",
+            "head.b2", "et.norm.gamma", "et.norm.delta", "et.attn.w_key",
+            "et.attn.w_query", "et.attn.beta", "et.hopfield.xi",
+        ]
+        assert [name for name, _, _ in gr.GRAPH_TENSORS] == names
+        assert list(gr.graph_params_to_tensors(_graph_params())) == names
+
+    def test_decay_exempt_sets(self):
+        assert im.IMAGE_DECAY_EXEMPT == {
+            "enc.bias", "dec.norm.gamma", "dec.norm.delta", "dec.bias",
+            "mask_token", "pos_bias", "et.norm.gamma", "et.norm.delta",
+        }
+        assert gr.GRAPH_DECAY_EXEMPT == {
+            "pos_embed", "head.b1", "head.b2", "et.norm.gamma",
+            "et.norm.delta", "et.attn.beta",
+        }
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_round_trip_bit_exact(self, task):
+        make, to_tensors, from_tensors = TASKS[task]
+        like = make()
+        rng = np.random.default_rng(7)
+        # fresh values in every tensor, scalars positive (gamma, beta)
+        tensors = {
+            k: np.abs(rng.normal(0, 1, v.shape)) + 0.5 for k, v in to_tensors(like).items()
+        }
+        back = from_tensors(tensors, like)
+        assert type(back.et.norm.gamma) is float
+        again = to_tensors(back)
+        assert list(again) == list(tensors)
+        for k in tensors:
+            npt.assert_array_equal(again[k], tensors[k], err_msg=k)
+            assert again[k].dtype == np.float64 and again[k].shape == tensors[k].shape
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_missing_and_misshapen_tensors_rejected(self, task):
+        make, to_tensors, from_tensors = TASKS[task]
+        like = make()
+        for name in to_tensors(like):
+            tensors = to_tensors(like)
+            del tensors[name]
+            with pytest.raises(FormatError, match=re.escape(name)):
+                from_tensors(tensors, like)
+            tensors = to_tensors(like)
+            tensors[name] = np.ones(tensors[name].shape + (1,))
+            with pytest.raises(ShapeError, match=re.escape(name)):
+                from_tensors(tensors, like)

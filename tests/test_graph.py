@@ -334,6 +334,8 @@ class TestTrainGraph:
         )
         assert {"rows", "mean_macro_f1", "std_macro_f1", "mean_auc", "std_auc"} <= set(out)
         assert len(out["rows"]) == 2
+        assert [len(h) for h in out["histories"]] == [2, 2]
+        assert all(isinstance(p, gr.GraphTaskParams) for p in out["params"])
 
 
 class TestParamsValidation:
