@@ -126,6 +126,17 @@ class RunConfig:
         for name in ("batch_size", "n_seeds", "t", "fd_instances"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("lr", "fd_step", "tolerance"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if image and not (0 <= self.n_replaced <= self.n_occluded <= self.n_tokens):
+            raise ConfigError(
+                f"need 0 <= n_replaced ({self.n_replaced}) <= n_occluded "
+                f"({self.n_occluded}) <= n_tokens ({self.n_tokens})"
+            )
 
     @property
     def n_tokens(self) -> int:

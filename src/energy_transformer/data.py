@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import replace
@@ -231,6 +232,7 @@ def load_image_dataset(dirpath) -> Array:
 
 _MAGIC = b"ETCK"
 _VERSION = 1
+_MAX_RANK = 32  # the oldest supported numpy's array rank limit
 
 
 def save_checkpoint(tensors: dict[str, Array], path) -> None:
@@ -278,9 +280,11 @@ def load_checkpoint(path) -> dict[str, Array]:
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode("utf-8")
         (rank,) = struct.unpack("<I", take(4))
-        dims = [struct.unpack("<Q", take(8))[0] for _ in range(rank)]
-        n_values = int(np.prod(dims)) if dims else 1
-        raw = take(8 * n_values)
+        if rank > _MAX_RANK:
+            raise FormatError(f"{path}: tensor {name!r} has rank {rank} > {_MAX_RANK}")
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        # exact integer product: take() rejects a size beyond the file
+        raw = take(8 * math.prod(dims))
         out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")

@@ -292,7 +292,7 @@ class TestCliVerifyGrad:
         assert "et.attn.w_query" in captured.err
 
     def test_impossible_tolerance_fails(self, tmp_path):
-        cfg = write_cfg(tmp_path, "fd_instances=3\ntolerance=0.0\n")
+        cfg = write_cfg(tmp_path, "fd_instances=3\ntolerance=1e-300\n")
         assert main(["verify-grad", "--config", cfg]) == 1
 
 
@@ -322,6 +322,42 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path, cfg_text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg_text",
+        [
+            ("train", IMAGE_CFG + "lr=-1\n"),
+            ("train", IMAGE_CFG + "epochs=-2\n"),
+            ("train", GRAPH_CFG + "lr=nan\n"),
+            ("verify-grad", "fd_step=0\n"),
+            ("verify-grad", "tolerance=0\n"),
+            ("verify-grad", "tolerance=inf\n"),
+        ],
+        ids=["lr", "epochs", "lr_nan", "fd_step", "tolerance", "tolerance_inf"],
+    )
+    def test_nonsense_number_exits_2(self, tmp_path, command, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    def test_more_replaced_than_occluded_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IMAGE_CFG + "n_occluded=2\nn_replaced=3\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "n_replaced (3)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        with pytest.raises(ConfigError):
+            RunConfig(task="image", n_occluded=17)  # 16 tokens
+        RunConfig(task="graph", n_occluded=2, n_replaced=3)  # unused by graphs
+
+    def test_eval_on_oversized_checkpoint_header_exits_2(self, tmp_path, capsys):
+        ck = tmp_path / "ck.bin"
+        ck.write_bytes(
+            b"ETCK" + (1).to_bytes(4, "little") * 3 + b"w"
+            + (2).to_bytes(4, "little") + (2**33).to_bytes(8, "little") * 2
+        )
+        cfg = write_cfg(tmp_path, IMAGE_CFG)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ck)]) == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

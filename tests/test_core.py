@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from energy_transformer import core
+from energy_transformer import _kernels, core
 from energy_transformer.autodiff import finite_diff
 from energy_transformer.core import (
     AttentionParams,
@@ -561,6 +561,96 @@ class TestDescentCertificate:
             x = rng.normal(0, 2, (n, 6))
             q = core.descent_quadratic_forms(x, p)
             assert (q >= -1e-10).all()
+
+
+# ---------------------------------------------------------------------------
+# Masked softmax / log-sum-exp kernels against the dense formula
+
+def dense_masked_softmax(scores, mask):
+    z = scores if mask is None else np.where(mask, scores, -np.inf)
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def dense_masked_logsumexp(scores, mask):
+    z = scores if mask is None else np.where(mask, scores, -np.inf)
+    m = z.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+KERNELS = [
+    (_kernels.masked_softmax, dense_masked_softmax),
+    (_kernels.masked_logsumexp, dense_masked_logsumexp),
+]
+
+
+def random_adjacency(n, density, rng):
+    """Symmetric boolean mask; isolated nodes get a forced self-loop."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    adj = upper | upper.T
+    isolated = ~adj.any(axis=1)
+    adj[isolated, isolated] = True
+    return adj
+
+
+@pytest.mark.parametrize("kernel, dense", KERNELS, ids=["softmax", "logsumexp"])
+class TestMaskedKernels:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "heads", "batch_heads"])
+    def test_random_graph_masks_bit_identical(self, kernel, dense, lead):
+        rng = np.random.default_rng(len(lead))
+        for n in (2, 3, 17, 100, 400):
+            for density in (0.01, 0.05, 0.2, 0.5):
+                mask = random_adjacency(n, density, rng)
+                for scale in (1.0, 30.0):
+                    scores = scale * rng.normal(size=lead + (n, n))
+                    assert np.array_equal(kernel(scores, mask), dense(scores, mask)), (
+                        n, density, scale
+                    )
+
+    def test_exactly_half_density(self, kernel, dense):
+        n = 6
+        idx = np.arange(n)
+        mask = (idx[:, None] + idx[None, :]) % 2 == 1
+        assert 2 * mask.sum() == mask.size
+        scores = 30.0 * np.random.default_rng(1).normal(size=(2, n, n))
+        assert np.array_equal(kernel(scores, mask), dense(scores, mask))
+
+    def test_isolated_nodes_with_forced_self_loops(self, kernel, dense):
+        rng = np.random.default_rng(2)
+        n = 50
+        mask = np.zeros((n, n), dtype=bool)
+        mask[10:, 10:] = random_adjacency(n - 10, 0.04, rng)  # nodes 0-9 isolated
+        mask[np.arange(10), np.arange(10)] = True
+        scores = 10.0 * rng.normal(size=(4, n, n))
+        assert np.array_equal(kernel(scores, mask), dense(scores, mask))
+
+    @pytest.mark.parametrize("mode", [ExcludeSelf(), IncludeSelf(), None], ids=["exclude", "include", "none"])
+    def test_token_masks_and_none_unchanged(self, kernel, dense, mode):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 16):
+            mask = None if mode is None else core.mask_matrix(mode, n)
+            scores = 5.0 * rng.normal(size=(2, 4, n, n))
+            assert np.array_equal(kernel(scores, mask), dense(scores, mask))
+
+
+def test_allowed_entry_branch_rule():
+    """2-D, at most half allowed, no empty row: the rest stays dense."""
+    def takes(mask, n=6):
+        return _kernels._allowed_entries(np.zeros((2, n, n)), mask) is not None
+
+    sparse = random_adjacency(6, 0.2, np.random.default_rng(4))
+    idx = np.arange(6)
+    half = (idx[:, None] + idx[None, :]) % 2 == 1
+    empty_row = half.copy()
+    empty_row[0] = False
+    assert takes(sparse) and takes(half)
+    assert takes(core.mask_matrix(ExcludeSelf(), 2), n=2)
+    assert not takes(None)
+    assert not takes(core.mask_matrix(ExcludeSelf(), 6))
+    assert not takes(core.mask_matrix(IncludeSelf(), 6))
+    assert not takes(empty_row)
+    assert not takes(np.broadcast_to(half, (2, 6, 6)))
+    assert not takes(half[:1])
 
 
 # ---------------------------------------------------------------------------

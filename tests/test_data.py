@@ -170,6 +170,39 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_header_dims_beyond_file_rejected(self, tmp_path):
+        # one tensor "w" of dims 2^33 x 2^33 and no payload: 37 bytes
+        header = (
+            b"ETCK"
+            + (1).to_bytes(4, "little")
+            + (1).to_bytes(4, "little")
+            + (1).to_bytes(4, "little")
+            + b"w"
+            + (2).to_bytes(4, "little")
+            + (2**33).to_bytes(8, "little")
+            + (2**33).to_bytes(8, "little")
+        )
+        assert len(header) == 37
+        path = tmp_path / "ck.bin"
+        path.write_bytes(header)
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_header_rank_bounded(self, tmp_path):
+        # a complete one-value tensor of rank 100, beyond any numpy array
+        data = (
+            b"ETCK"
+            + (1).to_bytes(4, "little") * 3
+            + b"w"
+            + (100).to_bytes(4, "little")
+            + (1).to_bytes(8, "little") * 100
+            + np.array([1.0]).astype("<f8").tobytes()
+        )
+        path = tmp_path / "ck.bin"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="rank 100 > 32"):
+            load_checkpoint(path)
+
     def test_unknown_name_lookup_fails(self):
         with pytest.raises(FormatError):
             checkpoint_tensor({"a": np.ones(2)}, "b", (2,))

@@ -6,7 +6,8 @@ import pytest
 
 from energy_transformer import autodiff as ad
 from energy_transformer import graph as gr
-from energy_transformer.core import layer_norm
+from energy_transformer._kernels import stable_sigmoid
+from energy_transformer.core import et_forward, layer_norm
 from energy_transformer.data import Rng
 from energy_transformer.errors import (
     InvalidInputError,
@@ -126,6 +127,19 @@ class TestGraphForward:
         z = (h1 @ p.head_w2 + p.head_b2).reshape(-1)
         expected = 1.0 / (1.0 + np.exp(-z))
         npt.assert_allclose(gr.graph_forward(g, p), expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_bit_identical_to_final_state_of_et_forward(self, n_steps):
+        g = gr.gen_planted_anomaly_graph(0, 150, 0.1, 2.0)
+        p = tiny_graph_params(g, n_steps=n_steps)
+        x0 = gr.embed_nodes(g, p)
+        g1 = layer_norm(x0, p.et.norm)
+        g_final = layer_norm(et_forward(x0, p.et, p.alpha, p.n_steps)[-1][0], p.et.norm)
+        gf = np.concatenate([g1, g_final], axis=-1)
+        h1 = np.maximum(np.matmul(gf, p.head_w1) + p.head_b1, 0.0)
+        z = np.matmul(h1, p.head_w2) + p.head_b2
+        expected = stable_sigmoid(z.reshape(-1))
+        assert np.array_equal(gr.graph_forward(g, p), expected)
 
     def test_disconnected_pair_with_self_loops(self):
         g = gr.GraphInstance(
