@@ -4,7 +4,7 @@ Submodules:
   core      energies, analytic gradients, and the update dynamics
   autodiff  tape-based reverse-mode differentiation and the FD oracle
   optim     Adam with decoupled weight decay and gradient clipping
-  unroll    taped (trainable) versions of the block computations
+  unroll    routes training tensors through core's block on the tape
   image     masked-patch image completion pipeline
   graph     node anomaly detection on attributed graphs
   data      synthetic datasets, PGM/PPM codecs, checkpoints, seeded RNG

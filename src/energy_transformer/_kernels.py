@@ -26,6 +26,10 @@ def rsqrt_normalize(u: Array, epsilon: float) -> Array:
     return u / s
 
 
+def relu(x: Array) -> Array:
+    return np.maximum(x, 0.0)
+
+
 def _allowed_entries(scores: Array, mask: Array | None) -> tuple[Array, Array, Array] | None:
     """Flat indices, row starts and row counts of the allowed entries.
 

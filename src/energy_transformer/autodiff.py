@@ -8,9 +8,12 @@ gradients of the recorded scalar with respect to every named parameter.
 reproduces the saved values bit-exactly.
 
 The primitive set is closed: model code must be composed from the functions
-in this module.  Every primitive's forward calls the same numpy kernels as
-the analytic inference path, so recorded values agree with direct
-evaluation to the last bit.
+in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
+`**`, `transpose`, `swapaxes`, `reshape`, `sum`), each of which records one
+of these primitives.  So `core` writes the block once in ndarray idiom and
+runs it on arrays for inference and on Vars for training.  Every
+primitive's forward calls the same numpy kernels as the analytic inference
+path, so recorded values agree with direct evaluation to the last bit.
 
 `finite_diff` is the independent central-difference oracle used by the
 verification suite; it never touches the tape machinery.
@@ -151,7 +154,7 @@ def _sum():
 
 @_op("relu")
 def _relu():
-    fwd = lambda ins, meta: np.maximum(ins[0], 0.0)
+    fwd = lambda ins, meta: K.relu(ins[0])
     bwd = lambda g, ins, out, meta: [g * (ins[0] > 0)]
     return fwd, bwd
 
@@ -329,10 +332,16 @@ class Tape:
 
 @dataclass(frozen=True)
 class Var:
-    """Handle to one tape node."""
+    """Handle to one tape node.
+
+    Operators and the ndarray methods below record the matching primitive,
+    so array code records itself when handed Vars; a number times a Var is
+    `scale`.
+    """
 
     tape: Tape
     idx: int
+    __array_ufunc__ = None  # numpy scalars defer to Var's reflected operators
 
     @property
     def node(self) -> Node:
@@ -355,11 +364,31 @@ class Var:
     def __mul__(self, other: "Var") -> "Var":
         return mul(self, other)
 
+    def __rmul__(self, c: float) -> "Var":
+        return scale(self, c)
+
     def __matmul__(self, other: "Var") -> "Var":
         return matmul(self, other)
 
     def __neg__(self) -> "Var":
         return neg(self)
+
+    def __pow__(self, n: int) -> "Var":
+        return power(self, n)
+
+    def transpose(self, *perm: int) -> "Var":
+        return transpose(self, perm)
+
+    def swapaxes(self, a: int, b: int) -> "Var":
+        perm = list(range(self.value.ndim))
+        perm[a], perm[b] = perm[b], perm[a]
+        return transpose(self, tuple(perm))
+
+    def reshape(self, shape: tuple[int, ...]) -> "Var":
+        return reshape(self, shape)
+
+    def sum(self, axis: int | None = None) -> "Var":
+        return sum_(self, axis)
 
 
 # ---------------------------------------------------------------------------

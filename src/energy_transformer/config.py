@@ -111,6 +111,13 @@ class RunConfig:
             self.alpha = 0.1 if self.task == "image" else 1.0
         if self.t == _AUTO:
             self.t = 6 if self.task == "image" else 1
+        # sizes before the default beta = 1/sqrt(y) divides by one of them
+        for name in (
+            "d", "h", "y", "m", "f", "channels", "patch_size", "image_size",
+            "batch_size", "n_seeds", "t", "fd_instances",
+        ):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.beta == _AUTO:
             self.beta = 1.0 / float(np.sqrt(self.y))
         if self.weight_decay == _AUTO:
@@ -123,15 +130,24 @@ class RunConfig:
             # a small head resists memorizing training labels through the
             # per-node embeddings on desk-scale graphs
             self.head_hidden = 16
-        for name in ("batch_size", "n_seeds", "t", "fd_instances"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("lr", "fd_step", "tolerance"):
+        for name in ("epochs", "max_steps", "weight_decay", "alpha"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("lr", "fd_step", "tolerance", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.grad_clip is not None and not (self.grad_clip > 0):
+            raise ConfigError(f"grad_clip must be none or > 0, got {self.grad_clip}")
+        if not (0 < self.train_ratio < 1):
+            raise ConfigError(f"need 0 < train_ratio < 1, got {self.train_ratio}")
+        if not (0 < self.anomaly_rate < 0.5):
+            raise ConfigError(f"need 0 < anomaly_rate < 0.5, got {self.anomaly_rate}")
+        if self.n_communities > self.f:
+            raise ConfigError(
+                f"n_communities ({self.n_communities}) must be <= f ({self.f})"
+            )
         if image and not (0 <= self.n_replaced <= self.n_occluded <= self.n_tokens):
             raise ConfigError(
                 f"need 0 <= n_replaced ({self.n_replaced}) <= n_occluded "

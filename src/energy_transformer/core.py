@@ -13,7 +13,12 @@ to the raw ones.  Because the layer-norm Jacobian is positive semi-definite,
 the continuous-time energy never increases, and the discrete dynamics is
 non-increasing for small enough step size.
 
-All functions here are pure and operate on float64 numpy arrays.
+All functions here are pure.  The block's math (`layer_norm_of`,
+`scores_of`, the attention and Hopfield `*_energy_of`/`*_update_of`) is
+written once on raw tensors: float64 numpy arrays for inference, or tape
+`Var`s, on which the same code records the training pass (see `unroll`).
+The public functions that take parameter objects check their inputs and
+run that math on arrays.
 """
 
 from __future__ import annotations
@@ -22,12 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import (
-    masked_logsumexp,
-    masked_softmax,
-    mean_subtract,
-    rsqrt_normalize,
-)
+from . import _kernels
+from . import autodiff as ad
 from .errors import DegenerateMaskError, InvalidInputError, ShapeError
 
 Array = np.ndarray
@@ -271,7 +272,7 @@ def layer_norm(x: Array, p: LayerNormParams) -> Array:
     x = _check_finite(x, "layer_norm input")
     if x.shape[-1] != p.dim:
         raise ShapeError(f"input dim {x.shape[-1]} != parameter dim {p.dim}")
-    return p.gamma * rsqrt_normalize(mean_subtract(x), p.epsilon) + p.delta
+    return layer_norm_of(x, p.gamma, p.delta, p.epsilon)
 
 
 def lagrangian(x: Array, p: LayerNormParams) -> float:
@@ -301,30 +302,87 @@ def layer_norm_jacobian(x: Array, p: LayerNormParams) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# The block's math on raw tensors
+#
+# Each function below takes numpy arrays or tape `Var`s and is written with
+# ndarray methods and operators, which `Var` mirrors primitive for
+# primitive.  The kernels come from `_kernels` for arrays and from the tape
+# for Vars, so inference and the recorded training pass run one definition
+# and agree to the last bit.
+
+def _ops(t):
+    """The kernel namespace for t: tape primitives for a Var, else `_kernels`."""
+    return ad if isinstance(t, ad.Var) else _kernels
+
+
+def layer_norm_of(x, gamma, delta, epsilon: float):
+    """gamma * (x - mean)/sqrt(var + epsilon) + delta over the last axis."""
+    k = _ops(x)
+    return k.rsqrt_normalize(k.mean_subtract(x), epsilon) * gamma + delta
+
+
+def scores_of(g, w_key, w_query, beta):
+    """(H, Y, D) projections wk, wq; keys, queries (..., H, N, Y); beta Q K^T."""
+    wk = w_key.transpose(1, 0, 2)
+    wq = w_query.transpose(1, 0, 2)
+    gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])  # broadcasts over heads
+    k = gh @ wk.transpose(0, 2, 1)
+    q = gh @ wq.transpose(0, 2, 1)
+    return wk, wq, k, q, beta * (q @ k.swapaxes(-1, -2))
+
+
+def attention_energy_of(g, w_key, w_query, beta, mask):
+    """-(1/beta) * sum over heads and tokens of the masked log-sum-exp."""
+    *_, scores = scores_of(g, w_key, w_query, beta)
+    return (-1.0 / beta) * _ops(g).masked_logsumexp(scores, mask).sum()
+
+
+def attention_update_of(g, w_key, w_query, beta, mask):
+    """-dE/dg of the attention energy: the "from" plus the "to" term."""
+    wk, wq, k, q, scores = scores_of(g, w_key, w_query, beta)
+    w = _ops(g).masked_softmax(scores, mask)
+    term_from = (w @ k) @ wq  # A as the query
+    term_to = (w.swapaxes(-1, -2) @ q) @ wk  # A as a key
+    return (term_from + term_to).sum(axis=-3)
+
+
+def hopfield_energy_of(g, xi, activation: Activation):
+    """-1/n sum relu(g xi^T)^n (n=2 for Relu), or the per-token log-sum-exp."""
+    hid = g @ xi.transpose(1, 0)
+    if isinstance(activation, Softmax):
+        lse = _ops(g).masked_logsumexp(activation.beta * hid, None)
+        return (-1.0 / activation.beta) * lse.sum()
+    if isinstance(activation, Relu):
+        n = 2
+    elif isinstance(activation, Power):
+        n = activation.n
+    else:
+        raise TypeError(f"unknown activation {activation!r}")
+    return (-1.0 / n) * (_ops(g).relu(hid) ** n).sum()
+
+
+def hopfield_update_of(g, xi, activation: Activation):
+    """-dE/dg of the memory energy: f(g xi^T) xi."""
+    hid = g @ xi.transpose(1, 0)
+    if isinstance(activation, Relu):
+        f = _ops(g).relu(hid)
+    elif isinstance(activation, Power):
+        f = _ops(g).relu(hid) ** (activation.n - 1)
+    elif isinstance(activation, Softmax):
+        f = _ops(g).masked_softmax(activation.beta * hid, None)
+    else:
+        raise TypeError(f"unknown activation {activation!r}")
+    return f @ xi
+
+
+# ---------------------------------------------------------------------------
 # Attention energy and its exact gradient
 
-def _keys_queries(g: Array, a: AttentionParams) -> tuple[Array, Array, Array, Array]:
-    """Project tokens to per-head keys and queries.
-
-    Returns (K, Q, wk, wq) where K, Q have shape (..., H, N, Y) and wk, wq
-    are the (H, Y, D) per-head projection matrices.
-    """
-    wk = a.w_key.transpose(1, 0, 2)   # (H, Y, D)
-    wq = a.w_query.transpose(1, 0, 2)
-    gh = g[..., None, :, :]           # (..., 1, N, D) broadcasts over heads
-    k = np.matmul(gh, wk.transpose(0, 2, 1))
-    q = np.matmul(gh, wq.transpose(0, 2, 1))
-    return k, q, wk, wq
-
-
-def _attention_scores(g: Array, a: AttentionParams) -> tuple[Array, Array, Array, Array, Array]:
+def _attention_mask(g: Array, a: AttentionParams) -> Array:
     n = g.shape[-2]
     if isinstance(a.mask_mode, ExcludeSelf) and n < 2:
         raise DegenerateMaskError("self-exclusive attention needs at least 2 tokens")
-    mask = mask_matrix(a.mask_mode, n)
-    k, q, wk, wq = _keys_queries(g, a)
-    scores = a.beta * np.matmul(q, k.swapaxes(-1, -2))  # (..., H, C, B)
-    return scores, mask, k, q, (wk, wq)
+    return mask_matrix(a.mask_mode, n)
 
 
 def attention_energy(g: Array, a: AttentionParams) -> float:
@@ -336,9 +394,7 @@ def attention_energy(g: Array, a: AttentionParams) -> float:
         E = -(1/beta) * sum_h sum_C log sum_{B in mask(C)} exp(beta K_hB . Q_hC)
     """
     g = _check_finite(g, "attention input")
-    scores, mask, *_ = _attention_scores(g, a)
-    lse = masked_logsumexp(scores, mask)
-    return float(-(1.0 / a.beta) * lse.sum())
+    return float(attention_energy_of(g, a.w_key, a.w_query, a.beta, _attention_mask(g, a)))
 
 
 def attention_grad(g: Array, a: AttentionParams) -> Array:
@@ -351,43 +407,24 @@ def attention_grad(g: Array, a: AttentionParams) -> Array:
     Broadcasts over leading axes of g.
     """
     g = _check_finite(g, "attention input")
-    scores, mask, k, q, (wk, wq) = _attention_scores(g, a)
-    w = masked_softmax(scores, mask)                      # (..., H, C, B)
-    term_from = np.matmul(np.matmul(w, k), wq)            # A as the query
-    term_to = np.matmul(np.matmul(w.swapaxes(-1, -2), q), wk)  # A as a key
-    return (term_from + term_to).sum(axis=-3)
+    return attention_update_of(g, a.w_key, a.w_query, a.beta, _attention_mask(g, a))
 
 
 def attention_from_term(g: Array, a: AttentionParams) -> Array:
     """Only the conventional-attention half of `attention_grad`."""
     g = _check_finite(g, "attention input")
-    scores, mask, k, q, (wk, wq) = _attention_scores(g, a)
-    w = masked_softmax(scores, mask)
-    return np.matmul(np.matmul(w, k), wq).sum(axis=-3)
+    _, wq, k, _, scores = scores_of(g, a.w_key, a.w_query, a.beta)
+    w = _kernels.masked_softmax(scores, _attention_mask(g, a))
+    return ((w @ k) @ wq).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------
 # Hopfield (associative memory) energy and gradient
 
-def _hidden(g: Array, h: HopfieldParams) -> Array:
-    return np.matmul(g, h.xi.transpose())  # (..., N, M)
-
-
 def hopfield_energy(g: Array, h: HopfieldParams) -> float:
     """Memory energy of normalized tokens; low when tokens align with rows of xi."""
     g = _check_finite(g, "hopfield input")
-    hid = _hidden(g, h)
-    act = h.activation
-    if isinstance(act, Relu):
-        r = np.maximum(hid, 0.0)
-        return float(-0.5 * (r * r).sum())
-    if isinstance(act, Power):
-        r = np.maximum(hid, 0.0)
-        return float(-(1.0 / act.n) * (r**act.n).sum())
-    if isinstance(act, Softmax):
-        lse = masked_logsumexp(act.beta * hid, None)
-        return float(-(1.0 / act.beta) * lse.sum())
-    raise TypeError(f"unknown activation {act!r}")
+    return float(hopfield_energy_of(g, h.xi, h.activation))
 
 
 def hopfield_grad(g: Array, h: HopfieldParams) -> Array:
@@ -397,17 +434,7 @@ def hopfield_grad(g: Array, h: HopfieldParams) -> Array:
     and a per-token softmax for the log-sum-exp energy.
     """
     g = _check_finite(g, "hopfield input")
-    hid = _hidden(g, h)
-    act = h.activation
-    if isinstance(act, Relu):
-        f = np.maximum(hid, 0.0)
-    elif isinstance(act, Power):
-        f = np.maximum(hid, 0.0) ** (act.n - 1)
-    elif isinstance(act, Softmax):
-        f = masked_softmax(act.beta * hid, None)
-    else:
-        raise TypeError(f"unknown activation {act!r}")
-    return np.matmul(f, h.xi)
+    return hopfield_update_of(g, h.xi, h.activation)
 
 
 # ---------------------------------------------------------------------------

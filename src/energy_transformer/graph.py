@@ -28,6 +28,7 @@ from .core import (
     Relu,
     et_step,
     layer_norm,
+    layer_norm_of,
 )
 from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import (
@@ -38,7 +39,7 @@ from .errors import (
     ShapeError,
 )
 from .optim import AdamState, adam_step
-from .unroll import et_unroll_v, layer_norm_v
+from .unroll import et_unroll_v
 
 Array = np.ndarray
 
@@ -362,30 +363,13 @@ def graph_loss_fn(
     When probs_out is given, the recorded per-node probabilities are
     appended to it (the trainer reuses them for validation metrics).
     """
-    mask = spec.et.attn.mask_mode.adjacency
     feats = tape.constant(g.features)
     x = ad.matmul(feats, pv["embed.kernel"]) + pv["pos_embed"]
-    g1 = layer_norm_v(x, pv["et.norm.gamma"], pv["et.norm.delta"], spec.et.norm.epsilon)
+    gamma, delta, epsilon = pv["et.norm.gamma"], pv["et.norm.delta"], spec.et.norm.epsilon
+    g1 = layer_norm_of(x, gamma, delta, epsilon)
     beta = pv["et.attn.beta"] if spec.beta_learnable else spec.et.attn.beta
-    x = et_unroll_v(
-        x,
-        spec.n_steps,
-        gamma=pv["et.norm.gamma"],
-        delta=pv["et.norm.delta"],
-        epsilon=spec.et.norm.epsilon,
-        w_key=pv["et.attn.w_key"],
-        w_query=pv["et.attn.w_query"],
-        beta=beta,
-        mask=mask,
-        xi=pv["et.hopfield.xi"],
-        activation=spec.et.hopfield.activation,
-        enable_attn=spec.et.enable_attn,
-        enable_hopfield=spec.et.enable_hopfield,
-        alpha=spec.alpha,
-    )
-    g_final = layer_norm_v(
-        x, pv["et.norm.gamma"], pv["et.norm.delta"], spec.et.norm.epsilon
-    )
+    x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha, beta)
+    g_final = layer_norm_of(x, gamma, delta, epsilon)
     gf = ad.concat([g1, g_final], axis=-1)
     h1 = ad.relu(ad.matmul(gf, pv["head.w1"]) + pv["head.b1"])
     z = ad.matmul(h1, pv["head.w2"]) + pv["head.b2"]

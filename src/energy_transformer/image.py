@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import EtParams, EnergyBreakdown, layer_norm, et_forward, mask_matrix
+from .core import EtParams, EnergyBreakdown, layer_norm, layer_norm_of, et_forward
 from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import DivergenceError, InvalidInputError, ShapeError
 from .optim import AdamState, adam_step
-from .unroll import et_unroll_v, layer_norm_v
+from .unroll import et_unroll_v
 
 Array = np.ndarray
 
@@ -323,28 +323,12 @@ def image_loss_fn(
 ) -> ad.Var:
     """Average masked MSE of a batch, unrolled through the dynamics."""
     b, n, patch = patches.shape
-    mask = mask_matrix(spec.et.attn.mask_mode, n)
     pc = tape.constant(patches)
     enc = ad.matmul(pc, pv["enc.kernel"]) + pv["enc.bias"]
     x = ad.where_rows(enc, pv["mask_token"], replaced)
     x = x + pv["pos_bias"]
-    x = et_unroll_v(
-        x,
-        spec.n_steps,
-        gamma=pv["et.norm.gamma"],
-        delta=pv["et.norm.delta"],
-        epsilon=spec.et.norm.epsilon,
-        w_key=pv["et.attn.w_key"],
-        w_query=pv["et.attn.w_query"],
-        beta=spec.et.attn.beta,
-        mask=mask,
-        xi=pv["et.hopfield.xi"],
-        activation=spec.et.hopfield.activation,
-        enable_attn=spec.et.enable_attn,
-        enable_hopfield=spec.et.enable_hopfield,
-        alpha=spec.alpha,
-    )
-    g = layer_norm_v(x, pv["dec.norm.gamma"], pv["dec.norm.delta"], spec.dec_norm_epsilon)
+    x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha)
+    g = layer_norm_of(x, pv["dec.norm.gamma"], pv["dec.norm.delta"], spec.dec_norm_epsilon)
     recon = ad.matmul(g, pv["dec.kernel"]) + pv["dec.bias"]
     sq = ad.square(recon - pc)
     weights = tape.constant(occluded[..., None].astype(np.float64))

@@ -141,33 +141,8 @@ class TestRecordForward:
             hopfield=core.HopfieldParams(xi=rng.normal(0, 0.5, (3, d))),
         )
         x = rng.normal(0, 1, (4, d))
-        mask = core.mask_matrix(p.attn.mask_mode, 4)
-
-        def fn(tape, pv):
-            return total_energy_v(
-                tape.constant(x),
-                gamma=pv["gamma"],
-                delta=pv["delta"],
-                epsilon=p.norm.epsilon,
-                w_key=pv["wk"],
-                w_query=pv["wq"],
-                beta=p.attn.beta,
-                mask=mask,
-                xi=pv["xi"],
-                activation=p.hopfield.activation,
-                enable_attn=True,
-                enable_hopfield=True,
-            )
-
         loss, _ = ad.record_forward(
-            fn,
-            {
-                "gamma": np.asarray(1.0),
-                "delta": np.zeros(d),
-                "wk": p.attn.w_key,
-                "wq": p.attn.w_query,
-                "xi": p.hopfield.xi,
-            },
+            lambda tape, pv: total_energy_v(tape.constant(x), pv, p), _block_tensors(p)
         )
         assert loss == core.total_energy(x, p).e_total
 
@@ -213,6 +188,93 @@ class TestRecordForward:
             tape.param("w", np.ones(2))
 
 
+def _block(activation, mask_mode, *, enable_attn=True, enable_hopfield=True):
+    rng = np.random.default_rng(11)
+    d = 5
+    return core.EtParams(
+        norm=core.LayerNormParams(gamma=1.3, delta=rng.normal(0, 0.1, d)),
+        attn=core.AttentionParams(
+            w_key=rng.normal(0, 0.5, (3, 2, d)),
+            w_query=rng.normal(0, 0.5, (3, 2, d)),
+            beta=0.7,
+            mask_mode=mask_mode,
+        ),
+        hopfield=core.HopfieldParams(xi=rng.normal(0, 0.5, (4, d)), activation=activation),
+        enable_attn=enable_attn,
+        enable_hopfield=enable_hopfield,
+    )
+
+
+def _random_neighborhood(n):
+    rng = np.random.default_rng(12)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    adj = upper | upper.T
+    adj[np.arange(n), np.arange(n)] |= ~adj.any(axis=1)
+    return core.GraphNeighborhood(adj)
+
+
+def _block_tensors(et):
+    """The block's tensors under their checkpoint names."""
+    return {
+        "et.norm.gamma": np.asarray(et.norm.gamma),
+        "et.norm.delta": et.norm.delta,
+        "et.attn.w_key": et.attn.w_key,
+        "et.attn.w_query": et.attn.w_query,
+        "et.attn.beta": np.asarray(et.attn.beta),
+        "et.hopfield.xi": et.hopfield.xi,
+    }
+
+
+def _taped(build, x, et, **kwargs):
+    tape = ad.Tape()
+    pv = {name: tape.param(name, v) for name, v in _block_tensors(et).items()}
+    return build(tape.constant(x), pv, et, **kwargs).value
+
+
+def _tape_step(x, pv, et, alpha, beta_var):
+    return et_step_v(x, pv, et, alpha, pv["et.attn.beta"] if beta_var else None)
+
+
+class TestCoreTapeBitIdentity:
+    """The taped step and energy equal the analytic ones to the last bit."""
+
+    def check(self, et, lead, beta_var):
+        n, alpha = 6, 0.1
+        x = np.random.default_rng(13).normal(0, 1, lead + (n, et.dim))
+        stepped = _taped(_tape_step, x, et, alpha=alpha, beta_var=beta_var)
+        for i in np.ndindex(lead):
+            assert np.array_equal(stepped[i], core.et_step(x[i], et, alpha)), i
+            energy = _taped(total_energy_v, x[i], et)
+            assert energy == core.total_energy(x[i], et).e_total, i
+
+    @pytest.mark.parametrize("beta_var", [False, True], ids=["beta_float", "beta_var"])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["2d", "batch1", "batch3"])
+    @pytest.mark.parametrize(
+        "mask_mode",
+        [core.ExcludeSelf(), core.IncludeSelf(), _random_neighborhood(6)],
+        ids=["exclude_self", "include_self", "neighborhood"],
+    )
+    @pytest.mark.parametrize(
+        "activation",
+        [core.Relu(), core.Power(3), core.Softmax(0.7)],
+        ids=["relu", "power3", "softmax"],
+    )
+    def test_step_and_energy(self, activation, mask_mode, lead, beta_var):
+        self.check(_block(activation, mask_mode), lead, beta_var)
+
+    @pytest.mark.parametrize(
+        "enable", [(False, True), (True, False)], ids=["attn_off", "hopfield_off"]
+    )
+    def test_ablated_module(self, enable):
+        et = _block(
+            core.Power(3),
+            _random_neighborhood(6),
+            enable_attn=enable[0],
+            enable_hopfield=enable[1],
+        )
+        self.check(et, (3,), beta_var=False)
+
+
 class TestReplay:
     def test_replay_reproduces_values(self):
         rng = np.random.default_rng(3)
@@ -227,36 +289,11 @@ class TestReplay:
             hopfield=core.HopfieldParams(xi=rng.normal(0, 0.5, (3, d))),
         )
         x = rng.normal(0, 1, (3, d))
-        mask = core.mask_matrix(p.attn.mask_mode, 3)
 
         def fn(tape, pv):
-            out = et_step_v(
-                tape.constant(x),
-                gamma=pv["gamma"],
-                delta=pv["delta"],
-                epsilon=p.norm.epsilon,
-                w_key=pv["wk"],
-                w_query=pv["wq"],
-                beta=p.attn.beta,
-                mask=mask,
-                xi=pv["xi"],
-                activation=p.hopfield.activation,
-                enable_attn=True,
-                enable_hopfield=True,
-                alpha=0.1,
-            )
-            return ad.sum_(ad.square(out))
+            return ad.sum_(ad.square(et_step_v(tape.constant(x), pv, p, 0.1)))
 
-        _, tape = ad.record_forward(
-            fn,
-            {
-                "gamma": np.asarray(1.0),
-                "delta": np.zeros(d),
-                "wk": p.attn.w_key,
-                "wq": p.attn.w_query,
-                "xi": p.hopfield.xi,
-            },
-        )
+        _, tape = ad.record_forward(fn, _block_tensors(p))
         assert ad.replay(tape) > 10
 
     def test_replay_detects_tampering(self):

@@ -332,12 +332,52 @@ class TestCliErrors:
             ("verify-grad", "fd_step=0\n"),
             ("verify-grad", "tolerance=0\n"),
             ("verify-grad", "tolerance=inf\n"),
+            ("train", IMAGE_CFG + "alpha=-0.1\n"),
+            ("train", IMAGE_CFG + "beta=0\n"),
+            ("train", IMAGE_CFG + "alpha=nan\n"),
+            ("train", GRAPH_CFG + "beta=inf\n"),
         ],
-        ids=["lr", "epochs", "lr_nan", "fd_step", "tolerance", "tolerance_inf"],
+        ids=[
+            "lr", "epochs", "lr_nan", "fd_step", "tolerance", "tolerance_inf",
+            "alpha", "beta", "alpha_nan", "beta_inf",
+        ],
     )
     def test_nonsense_number_exits_2(self, tmp_path, command, cfg_text):
         cfg = write_cfg(tmp_path, cfg_text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize(
+        "cfg_text",
+        [
+            IMAGE_CFG + "y=0\n",
+            GRAPH_CFG + "h=0\n",
+            GRAPH_CFG + "d=0\n",
+            IMAGE_CFG + "m=0\n",
+            GRAPH_CFG + "f=0\n",
+            IMAGE_CFG + "channels=0\n",
+            IMAGE_CFG + "patch_size=0\n",
+            IMAGE_CFG + "image_size=0\n",
+            IMAGE_CFG + "max_steps=-1\n",
+            IMAGE_CFG + "weight_decay=-1\n",
+            GRAPH_CFG + "weight_decay=-1\n",
+            IMAGE_CFG + "grad_clip=-1\n",
+            GRAPH_CFG + "train_ratio=1.5\n",
+            GRAPH_CFG + "train_ratio=0\n",
+            GRAPH_CFG + "anomaly_rate=0.7\n",
+            GRAPH_CFG + "anomaly_rate=0\n",
+            GRAPH_CFG + "f=2\nn_communities=3\n",
+        ],
+        ids=[
+            "image_y", "graph_h", "graph_d", "image_m", "graph_f", "channels",
+            "patch_size", "image_size", "max_steps", "image_weight_decay",
+            "graph_weight_decay", "grad_clip", "train_ratio_above_1", "train_ratio_0",
+            "anomaly_rate_above_half", "anomaly_rate_0", "communities_above_f",
+        ],
+    )
+    def test_bad_size_or_range_exits_2(self, tmp_path, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
 
     def test_more_replaced_than_occluded_exits_2(self, tmp_path, capsys):

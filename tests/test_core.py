@@ -674,3 +674,63 @@ class TestParamCount:
             core.param_count(0, 1, 1, 1)
         with pytest.raises(InvalidInputError):
             core.param_count(4, 2, 2, 2, with_embeddings=True)
+
+
+class TestSwapPoints:
+    """The module attributes that bench/fidelity_checks.py replaces to break
+    the block on purpose must reach the code that the workloads run."""
+
+    def test_attention_grad_reaches_et_step_and_graph_forward(self, monkeypatch):
+        from energy_transformer import graph as gr
+
+        g = gr.gen_planted_anomaly_graph(0, 150, 0.1, 2.0)
+        p = gr.init_graph_params(
+            g, d=4, h=2, y=2, m=3, beta=0.9, alpha=0.3, n_steps=2, hidden=4,
+            rng=np.random.default_rng(0),
+        )
+        x = gr.embed_nodes(g, p)
+        step, probs = core.et_step(x, p.et, p.alpha), gr.graph_forward(g, p)
+        monkeypatch.setattr(core, "attention_grad", core.attention_from_term)
+        assert not np.array_equal(core.et_step(x, p.et, p.alpha), step)
+        assert not np.array_equal(gr.graph_forward(g, p), probs)
+
+    def test_layer_norm_reaches_reconstruct(self, monkeypatch):
+        from energy_transformer import image as im
+        from energy_transformer.data import Rng, gen_synthetic_images
+
+        p = im.init_image_params(
+            n_tokens=16, patch_size=4, d=5, h=2, y=2, m=3, beta=0.8, alpha=0.1,
+            n_steps=2, k_h=2, k_w=2, mask_mode=ExcludeSelf(), activation=Relu(),
+            rng=np.random.default_rng(0),
+        )
+        img = gen_synthetic_images(3, 1, size=8)[0]
+        plan = im.make_mask_plan(16, 6, 5, Rng(3).stream("m"))
+        recon, _ = im.reconstruct(img, plan, p)
+        layer_norm = core.layer_norm
+        monkeypatch.setattr(
+            core, "layer_norm", lambda x, q: np.float32(layer_norm(x, q)).astype(np.float64)
+        )
+        assert not np.array_equal(im.reconstruct(img, plan, p)[0], recon)
+
+    def test_attention_update_v_reaches_image_loss(self, monkeypatch):
+        from energy_transformer import autodiff as ad
+        from energy_transformer import image as im
+        from energy_transformer import unroll
+
+        p = im.init_image_params(
+            n_tokens=4, patch_size=6, d=5, h=2, y=2, m=3, beta=0.8, alpha=0.1,
+            n_steps=2, k_h=1, k_w=6, mask_mode=ExcludeSelf(), activation=Relu(),
+            rng=np.random.default_rng(0),
+        )
+        patches = np.random.default_rng(1).normal(0, 1, (2, 4, 6))
+        replaced = np.array([[True, False, False, False], [False, False, True, False]])
+        occluded = replaced | np.array([[False, True, False, False]] * 2)
+        args = (im.image_params_to_tensors(p), patches, replaced, occluded, p)
+        loss, _ = ad.record_forward(im.image_loss_fn, *args)
+        update = unroll.attention_update_v
+        # positional parameters only: the replacement is called as
+        # (g, w_key, w_query, beta, mask)
+        monkeypatch.setattr(
+            unroll, "attention_update_v", lambda *a: ad.scale(update(*a), 0.5)
+        )
+        assert ad.record_forward(im.image_loss_fn, *args)[0] != loss
