@@ -1,11 +1,15 @@
 """Shared numpy kernels.
 
 Both the analytic inference path (`core`) and the recorded training path
-(`autodiff` primitives) call these functions, so the two routes perform
-bit-identical floating-point arithmetic.
+(`autodiff` primitives) call these functions for their forward values, so
+the two routes compute bit-identical values.  The backward kernels serve the
+tape alone; the allowed-entry softmax VJP differs from the dense formula
+only in summation order.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -30,14 +34,16 @@ def relu(x: Array) -> Array:
     return np.maximum(x, 0.0)
 
 
-def _allowed_entries(scores: Array, mask: Array | None) -> tuple[Array, Array, Array] | None:
-    """Flat indices, row starts and row counts of the allowed entries.
+# id(mask) -> layout of a read-only mask; an entry leaves with its mask
+_LAYOUTS: dict[int, tuple[Array, Array, Array] | None] = {}
 
-    None (the dense branch) unless `mask` is 2-D like the last two axes of
-    `scores`, allows at most half of its entries and leaves no row empty.
+
+def _derive_layout(mask: Array) -> tuple[Array, Array, Array] | None:
+    """Flat indices, row starts and row counts of a 2-D mask's allowed entries.
+
+    None (the dense branch) when the mask allows more than half of its
+    entries or leaves a row empty.
     """
-    if mask is None or mask.ndim != 2 or mask.shape != scores.shape[-2:]:
-        return None
     if 2 * np.count_nonzero(mask) > mask.size:
         return None
     idx = np.flatnonzero(mask)
@@ -46,6 +52,40 @@ def _allowed_entries(scores: Array, mask: Array | None) -> tuple[Array, Array, A
         return None
     starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     return idx, starts, counts
+
+
+def _allowed_entries(scores: Array, mask: Array | None) -> tuple[Array, Array, Array] | None:
+    """Layout of `mask`'s allowed entries (see `_derive_layout`), or None.
+
+    None (the dense branch) also when `mask` is not 2-D like the last two
+    axes of `scores`.  A read-only mask that owns its data (as
+    `GraphNeighborhood` makes its adjacency) cannot change, so its layout is
+    derived once and kept while the mask lives; any other mask may be edited
+    between calls and is derived on every call.
+    """
+    if mask is None or mask.ndim != 2 or mask.shape != scores.shape[-2:]:
+        return None
+    if mask.flags.writeable or not mask.flags.owndata:
+        return _derive_layout(mask)
+    key = id(mask)
+    if key not in _LAYOUTS:
+        _LAYOUTS[key] = _derive_layout(mask)
+        weakref.finalize(mask, _LAYOUTS.pop, key, None)
+    return _LAYOUTS[key]
+
+
+def _gather(a: Array, idx: Array) -> Array:
+    """The entries at flat indices `idx` of each trailing matrix: (..., E)."""
+    return np.take(a.reshape(a.shape[:-2] + (-1,)), idx, axis=-1)
+
+
+def _scatter(values: Array, idx: Array, shape: tuple[int, ...]) -> Array:
+    """Zeros of `shape` with `values` (..., E) at flat indices `idx` of each
+    trailing matrix; the inverse of `_gather` on the allowed entries."""
+    out = np.zeros(shape, dtype=values.dtype)
+    matrix_size = shape[-2] * shape[-1]
+    np.put(out, np.arange(0, out.size, matrix_size)[:, None] + idx, values)
+    return out
 
 
 def _shifted_exp(scores: Array, mask: Array | None) -> tuple[Array, Array]:
@@ -63,13 +103,10 @@ def _shifted_exp(scores: Array, mask: Array | None) -> tuple[Array, Array]:
         m = z.max(axis=-1, keepdims=True)
         return np.exp(z - m), m
     idx, starts, counts = allowed
-    s = np.take(scores.reshape(scores.shape[:-2] + (-1,)), idx, axis=-1)
+    s = _gather(scores, idx)
     m = np.maximum.reduceat(s, starts, axis=-1)
     e = np.exp(s - np.repeat(m, counts, axis=-1))
-    w = np.zeros(scores.shape, dtype=e.dtype)
-    matrix_starts = np.arange(0, w.size, mask.size)[:, None]
-    np.put(w, matrix_starts + idx, e)
-    return w, m[..., None]
+    return _scatter(e, idx, scores.shape), m[..., None]
 
 
 def masked_logsumexp(scores: Array, mask: Array | None) -> Array:
@@ -108,10 +145,25 @@ def stable_sigmoid(x: Array) -> Array:
     return out
 
 
-def softmax_backward(grad: Array, weights: Array) -> Array:
-    """Vector-Jacobian product of a (masked) softmax over the last axis."""
-    inner = (grad * weights).sum(axis=-1, keepdims=True)
-    return weights * (grad - inner)
+def softmax_backward(grad: Array, weights: Array, mask: Array | None) -> Array:
+    """Vector-Jacobian product of `masked_softmax` over the last axis.
+
+    `weights` is the softmax output and `mask` the mask it was computed
+    with.  Where the forward takes its allowed-entry branch, so does this:
+    the row inner products are summed over the allowed entries alone and
+    the disallowed entries are exactly 0.  That differs from the dense
+    formula only in summation order (round-off); every other mask gets the
+    dense formula.
+    """
+    allowed = _allowed_entries(weights, mask)
+    if allowed is None:
+        inner = (grad * weights).sum(axis=-1, keepdims=True)
+        return weights * (grad - inner)
+    idx, starts, counts = allowed
+    g = _gather(grad, idx)
+    w = _gather(weights, idx)
+    inner = np.add.reduceat(g * w, starts, axis=-1)
+    return _scatter(w * (g - np.repeat(inner, counts, axis=-1)), idx, weights.shape)
 
 
 def rsqrt_normalize_backward(grad: Array, u: Array, epsilon: float) -> Array:

@@ -14,6 +14,9 @@ of these primitives.  So `core` writes the block once in ndarray idiom and
 runs it on arrays for inference and on Vars for training.  Every
 primitive's forward calls the same numpy kernels as the analytic inference
 path, so recorded values agree with direct evaluation to the last bit.
+Gradients are exact up to round-off: the masked-softmax VJP on a sparse
+mask and the gradient of a 0-d factor in `mul` sum in a different order
+than the dense formulas they replace.
 
 `finite_diff` is the independent central-difference oracle used by the
 verification suite; it never touches the tape machinery.
@@ -82,12 +85,20 @@ def _sub():
     return fwd, bwd
 
 
+def _mul_grad(g: Array, a: Array, other: Array) -> Array:
+    """Gradient of `a` in a * other.  A 0-d `a` (a learnable beta or gamma
+    times an array) gets one dot product, with no temporary the size of g."""
+    if a.ndim == 0:
+        return np.asarray(np.vdot(g, other))
+    return _unbroadcast(g * other, a.shape)
+
+
 @_op("mul")
 def _mul():
     fwd = lambda ins, meta: ins[0] * ins[1]
     bwd = lambda g, ins, out, meta: [
-        _unbroadcast(g * ins[1], ins[0].shape),
-        _unbroadcast(g * ins[0], ins[1].shape),
+        _mul_grad(g, ins[0], ins[1]),
+        _mul_grad(g, ins[1], ins[0]),
     ]
     return fwd, bwd
 
@@ -106,14 +117,37 @@ def _neg():
     return fwd, bwd
 
 
+def _keeps_layout(x: Array, g: Array) -> bool:
+    """Whether matmul's VJP gives operand x its gradient in x's own layout.
+
+    x qualifies when it is a C-ordered array viewed with its last two axes
+    swapped (w^T in the "to" term): the gradient its transpose node passes
+    back is then C-ordered like the others it is added to.  That product
+    reads g transposed, which costs more than it saves unless x is at least
+    as large as g (it is not for k^T in Q K^T, whose g is N x N).
+    """
+    return (
+        x.ndim >= 2
+        and x.size >= g.size
+        and not x.flags.c_contiguous
+        and x.swapaxes(-1, -2).flags.c_contiguous
+    )
+
+
 @_op("matmul")
 def _matmul():
     fwd = lambda ins, meta: np.matmul(ins[0], ins[1])
 
     def bwd(g, ins, out, meta):
         a, b = ins
-        ga = np.matmul(g, b.swapaxes(-1, -2))
-        gb = np.matmul(a.swapaxes(-1, -2), g)
+        if _keeps_layout(a, g):
+            ga = np.matmul(b, g.swapaxes(-1, -2)).swapaxes(-1, -2)
+        else:
+            ga = np.matmul(g, b.swapaxes(-1, -2))
+        if _keeps_layout(b, g):
+            gb = np.matmul(g.swapaxes(-1, -2), a).swapaxes(-1, -2)
+        else:
+            gb = np.matmul(a.swapaxes(-1, -2), g)
         return [_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)]
 
     return fwd, bwd
@@ -206,7 +240,7 @@ def _rsqrt_normalize():
 @_op("masked_softmax")
 def _masked_softmax():
     fwd = lambda ins, meta: K.masked_softmax(ins[0], meta["mask"])
-    bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out)]
+    bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"])]
     return fwd, bwd
 
 

@@ -114,7 +114,7 @@ class RunConfig:
         # sizes before the default beta = 1/sqrt(y) divides by one of them
         for name in (
             "d", "h", "y", "m", "f", "channels", "patch_size", "image_size",
-            "batch_size", "n_seeds", "t", "fd_instances",
+            "batch_size", "n_seeds", "t", "fd_instances", "n_communities",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -130,16 +130,24 @@ class RunConfig:
             # a small head resists memorizing training labels through the
             # per-node embeddings on desk-scale graphs
             self.head_hidden = 16
-        for name in ("epochs", "max_steps", "weight_decay", "alpha"):
+        for name in (
+            "epochs", "max_steps", "weight_decay", "alpha", "head_hidden", "warmup_steps",
+        ):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("lr", "fd_step", "tolerance", "beta"):
+        for name in ("lr", "fd_step", "tolerance", "beta", "init_std"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.grad_clip is not None and not (self.grad_clip > 0):
             raise ConfigError(f"grad_clip must be none or > 0, got {self.grad_clip}")
+        for name in ("p_in", "p_out"):
+            if not (0 <= getattr(self, name) <= 1):
+                raise ConfigError(f"need 0 <= {name} <= 1, got {getattr(self, name)}")
+        for name in ("b1", "b2"):
+            if not (0 <= getattr(self, name) < 1):
+                raise ConfigError(f"need 0 <= {name} < 1, got {getattr(self, name)}")
         if not (0 < self.train_ratio < 1):
             raise ConfigError(f"need 0 < train_ratio < 1, got {self.train_ratio}")
         if not (0 < self.anomaly_rate < 0.5):

@@ -57,16 +57,19 @@ class GraphNeighborhood:
     `adjacency` is a symmetric boolean (N, N) matrix; entry [C, B] means
     token C may attend to token B.  Every row must have at least one True
     entry (add self-loops for isolated nodes before constructing this).
+    The mode keeps a read-only copy, so the masked kernels derive its
+    sparsity layout once.
     """
 
     adjacency: Array
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=bool)
+        a = np.array(self.adjacency, dtype=bool)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError(f"adjacency must be square, got {a.shape}")
         if not np.array_equal(a, a.T):
             raise InvalidInputError("adjacency must be symmetric (undirected)")
+        a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
 
 

@@ -74,6 +74,26 @@ class TestPrimitives:
             {"a": (2, 3, 4), "b": (4, 5)},
         )
 
+    @pytest.mark.parametrize(
+        "shapes, kept",
+        [
+            ({"a": (2, 6, 3), "b": (2, 2, 6)}, True),  # views larger than the product
+            ({"a": (2, 3, 4), "b": (2, 5, 3)}, False),
+        ],
+        ids=["kept", "smaller"],
+    )
+    def test_matmul_transposed_views(self, shapes, kept):
+        # operands viewed transposed, as w^T in the "to" term and k^T in Q K^T
+        def build(t, pv):
+            a = ad.transpose(pv["a"], (0, 2, 1))
+            b = ad.transpose(pv["b"], (0, 2, 1))
+            return ad.sum_(ad.square(ad.matmul(a, b)))
+
+        self.check(build, shapes)
+        values = {name: np.ones(shape) for name, shape in shapes.items()}
+        grads = ad.backward(ad.record_forward(build, values)[1])
+        assert all(grads[name].flags.c_contiguous == kept for name in values)
+
     def test_transpose_reshape(self):
         self.check(
             lambda t, pv: ad.sum_(

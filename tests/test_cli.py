@@ -367,12 +367,23 @@ class TestCliErrors:
             GRAPH_CFG + "anomaly_rate=0.7\n",
             GRAPH_CFG + "anomaly_rate=0\n",
             GRAPH_CFG + "f=2\nn_communities=3\n",
+            GRAPH_CFG + "n_communities=0\n",
+            GRAPH_CFG + "init_std=-1\n",
+            GRAPH_CFG + "init_std=nan\n",
+            GRAPH_CFG + "head_hidden=-3\n",
+            GRAPH_CFG + "p_in=1.5\n",
+            GRAPH_CFG + "p_out=-0.1\n",
+            GRAPH_CFG + "b1=1\n",
+            GRAPH_CFG + "b2=1.5\n",
+            GRAPH_CFG + "warmup_steps=-5\n",
         ],
         ids=[
             "image_y", "graph_h", "graph_d", "image_m", "graph_f", "channels",
             "patch_size", "image_size", "max_steps", "image_weight_decay",
             "graph_weight_decay", "grad_clip", "train_ratio_above_1", "train_ratio_0",
             "anomaly_rate_above_half", "anomaly_rate_0", "communities_above_f",
+            "n_communities_0", "init_std_negative", "init_std_nan", "head_hidden_negative",
+            "p_in_above_1", "p_out_negative", "b1_1", "b2_above_1", "warmup_steps_negative",
         ],
     )
     def test_bad_size_or_range_exits_2(self, tmp_path, cfg_text):

@@ -5,11 +5,14 @@ at runtime against an independent loop-based oracle defined at the top of
 this file; the oracles never call into the code paths they verify.
 """
 
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from energy_transformer import _kernels, core
+from energy_transformer import autodiff as ad
 from energy_transformer.autodiff import finite_diff
 from energy_transformer.core import (
     AttentionParams,
@@ -631,6 +634,143 @@ class TestMaskedKernels:
             mask = None if mode is None else core.mask_matrix(mode, n)
             scores = 5.0 * rng.normal(size=(2, 4, n, n))
             assert np.array_equal(kernel(scores, mask), dense(scores, mask))
+
+
+def dense_softmax_backward(grad, weights):
+    inner = (grad * weights).sum(axis=-1, keepdims=True)
+    return weights * (grad - inner)
+
+
+def assert_vjp_close(got, grad, weights, rtol=1e-12):
+    """`got` equals the dense VJP to `rtol` of the terms it is made of.
+
+    An entry w_i (g_i - sum_j g_j w_j) can cancel to far below its terms, so
+    a different summation order moves it by a few ulps of w_i times
+    |g_i| + sum_j |g_j w_j|: that is the scale the tolerance is relative to.
+    """
+    want = dense_softmax_backward(grad, weights)
+    scale = weights * (np.abs(grad) + np.abs(grad * weights).sum(axis=-1, keepdims=True))
+    assert (np.abs(got - want) <= rtol * scale).all()
+
+
+def taped_softmax_vjp(scores, mask, grad):
+    """d/dscores of sum(grad * masked_softmax(scores, mask)), through the tape."""
+    def loss(tape, pv):
+        return ad.sum_(ad.mul(tape.constant(grad), ad.masked_softmax(pv["s"], mask)))
+
+    _, tape = ad.record_forward(loss, {"s": scores})
+    return ad.backward(tape)["s"]
+
+
+class TestSoftmaxVjp:
+    """The masked-softmax VJP against the dense formula written out above.
+
+    On the allowed-entry branch only the summation order differs, so allowed
+    entries agree to round-off and disallowed entries are exactly 0; every
+    other mask keeps the dense formula's bits.
+    """
+
+    def check_sparse(self, scores, mask, rng):
+        assert _kernels._allowed_entries(scores, mask) is not None
+        grad = rng.normal(size=scores.shape)
+        got = taped_softmax_vjp(scores, mask, grad)
+        assert (got[np.broadcast_to(~mask, scores.shape)] == 0).all()
+        assert_vjp_close(got, grad, dense_masked_softmax(scores, mask))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "heads", "batch_heads"])
+    def test_random_graph_masks(self, lead):
+        rng = np.random.default_rng(10 + len(lead))
+        for n in (3, 17, 100, 400):
+            for density in (0.01, 0.05, 0.2):
+                mask = GraphNeighborhood(random_adjacency(n, density, rng)).adjacency
+                for scale in (1.0, 30.0):
+                    self.check_sparse(scale * rng.normal(size=lead + (n, n)), mask, rng)
+
+    def test_exactly_half_density(self):
+        idx = np.arange(6)
+        mask = GraphNeighborhood((idx[:, None] + idx[None, :]) % 2 == 1).adjacency
+        rng = np.random.default_rng(11)
+        self.check_sparse(30.0 * rng.normal(size=(2, 6, 6)), mask, rng)
+
+    def test_isolated_nodes_with_forced_self_loops(self):
+        rng = np.random.default_rng(12)
+        n = 50
+        adj = np.zeros((n, n), dtype=bool)
+        adj[10:, 10:] = random_adjacency(n - 10, 0.04, rng)  # nodes 0-9 isolated
+        adj[np.arange(10), np.arange(10)] = True
+        mask = GraphNeighborhood(adj).adjacency
+        self.check_sparse(10.0 * rng.normal(size=(4, n, n)), mask, rng)
+
+    @pytest.mark.parametrize("mode", [ExcludeSelf(), IncludeSelf(), None], ids=["exclude", "include", "none"])
+    def test_token_masks_and_none_unchanged(self, mode):
+        rng = np.random.default_rng(13)
+        for n in (3, 16):
+            mask = None if mode is None else core.mask_matrix(mode, n)
+            scores = 5.0 * rng.normal(size=(2, 4, n, n))
+            grad = rng.normal(size=scores.shape)
+            want = dense_softmax_backward(grad, dense_masked_softmax(scores, mask))
+            assert np.array_equal(taped_softmax_vjp(scores, mask, grad), want)
+
+
+class TestLayoutCache:
+    """A read-only mask's layout is derived once; nothing else is cached."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        flatnonzero = np.flatnonzero
+
+        def counting(a):
+            calls.append(a)
+            return flatnonzero(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        return calls
+
+    def test_read_only_mask_derived_once(self, derivations):
+        rng = np.random.default_rng(14)
+        mask = GraphNeighborhood(random_adjacency(40, 0.1, rng)).adjacency
+        scores, grad = rng.normal(size=(2, 2, 40, 40))
+        first = _kernels.masked_softmax(scores, mask)
+        for _ in range(3):
+            w = _kernels.masked_softmax(scores, mask)
+            assert np.array_equal(w, first)
+            _kernels.masked_logsumexp(scores, mask)
+            _kernels.softmax_backward(grad, w, mask)
+        assert len(derivations) == 1
+
+    def test_edited_writeable_mask_gets_new_layout(self, derivations):
+        rng = np.random.default_rng(15)
+        mask = random_adjacency(40, 0.1, rng)
+        scores, grad = rng.normal(size=(2, 2, 40, 40))
+        before = _kernels.masked_softmax(scores, mask)
+        j = int(np.flatnonzero(~mask[0])[-1])  # add the edge 0-j
+        mask[0, j] = mask[j, 0] = True
+        w = _kernels.masked_softmax(scores, mask)
+        assert np.array_equal(w, dense_masked_softmax(scores, mask))
+        assert not np.array_equal(w, before)
+        got = _kernels.softmax_backward(grad, w, mask)
+        assert (got[:, ~mask] == 0).all() and (got[:, 0, j] != 0).all()
+        assert_vjp_close(got, grad, w)
+        assert len(derivations) == 4  # one per call, and the test's own
+
+    def test_adjacency_is_read_only(self):
+        adj = random_adjacency(8, 0.3, np.random.default_rng(16))
+        mode = GraphNeighborhood(adj)
+        with pytest.raises(ValueError):
+            mode.adjacency[0, 0] = not mode.adjacency[0, 0]
+        adj[0, 0] = not adj[0, 0]  # the caller's array is not the mode's
+        assert mode.adjacency[0, 0] != adj[0, 0]
+
+    def test_cache_entry_goes_with_its_mask(self):
+        rng = np.random.default_rng(17)
+        mode = GraphNeighborhood(random_adjacency(40, 0.1, rng))
+        key = id(mode.adjacency)
+        _kernels.masked_softmax(rng.normal(size=(40, 40)), mode.adjacency)
+        assert key in _kernels._LAYOUTS
+        del mode
+        gc.collect()
+        assert key not in _kernels._LAYOUTS
 
 
 def test_allowed_entry_branch_rule():

@@ -397,6 +397,32 @@ class TestGraphBptt:
         reports = check_bptt_graph(tolerance=1e-6, seed0=3)
         assert all(r.passed for r in reports), [r.line() for r in reports]
 
+    def test_sparse_mask_gradients_match_fd_with_learnable_beta(self):
+        # a 24-node graph, two nodes isolated, whose mask takes the
+        # allowed-entry softmax and VJP
+        from energy_transformer import _kernels
+        from energy_transformer.checks import rel_err
+
+        g = gr.gen_planted_anomaly_graph(1, 24, 0.2, 2.0, p_in=0.3, p_out=0.02)
+        with pytest.warns(UserWarning, match="forcing self-loops on 2"):
+            p = tiny_graph_params(g, seed=1, beta=0.7, alpha=0.5, n_steps=2)
+        mask = p.et.attn.mask_mode.adjacency
+        assert p.beta_learnable
+        assert _kernels._allowed_entries(np.zeros((2, 24, 24)), mask) is not None
+        train = np.arange(0, 24, 2)
+        tensors = gr.graph_params_to_tensors(p)
+        _, tape = ad.record_forward(gr.graph_loss_fn, tensors, g, train, p)
+        grads = ad.backward(tape)
+        for name in tensors:
+            def loss_of(value, name=name):
+                p2 = gr.graph_params_from_tensors({**tensors, name: value}, p)
+                return ad.record_forward(
+                    gr.graph_loss_fn, gr.graph_params_to_tensors(p2), g, train, p2
+                )[0]
+
+            fd = ad.finite_diff(loss_of, tensors[name])
+            assert rel_err(grads[name], fd) < 1e-6, name
+
 
 class TestPlantedAnomalyGraph:
     def test_anomaly_count_rounds(self):
