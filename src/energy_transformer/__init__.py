@@ -28,6 +28,7 @@ from .core import (
     default_beta,
     et_forward,
     et_step,
+    et_unroll,
     hopfield_energy,
     hopfield_grad,
     lagrangian,
@@ -53,6 +54,7 @@ __all__ = [
     "default_beta",
     "et_forward",
     "et_step",
+    "et_unroll",
     "hopfield_energy",
     "hopfield_grad",
     "lagrangian",

@@ -140,6 +140,12 @@ def _matmul():
 
     def bwd(g, ins, out, meta):
         a, b = ins
+        if b.ndim == 2 and a.ndim > 2:
+            # rows with batch axes against a 2-D weight: one GEMM over all
+            # rows, not per-batch weight gradients that _unbroadcast sums
+            k, m = b.shape
+            a2, g2 = a.reshape(-1, k), g.reshape(-1, m)
+            return [np.matmul(g2, b.T).reshape(a.shape), np.matmul(a2.T, g2)]
         if _keeps_layout(a, g):
             ga = np.matmul(b, g.swapaxes(-1, -2)).swapaxes(-1, -2)
         else:

@@ -308,7 +308,7 @@ def cmd_dump_energy(args) -> int:
             cfg.n_replaced,
             Rng(cfg.seed).stream("image-eval-masking"),
         )
-        _, traj = im.reconstruct(image, plan, params)
+        x0 = im.encode_and_mask(im.patchify(image, params.k_h, params.k_w), plan, params)
     else:
         g = gr.load_graph_dir(args.input) if args.input else _load_graph(cfg)
         template = gr.init_graph_params(
@@ -316,7 +316,7 @@ def cmd_dump_energy(args) -> int:
         )
         params = gr.graph_params_from_tensors(tensors, template)
         x0 = gr.embed_nodes(g, params)
-        traj = et_forward(x0, params.et, params.alpha, params.n_steps)
+    traj = et_forward(x0, params.et, params.alpha, params.n_steps)
     lines = ["step,energy_att,energy_hn,energy_total"]
     for step, (_, b) in enumerate(traj):
         lines.append(f"{step},{_fmt(b.e_att)},{_fmt(b.e_hn)},{_fmt(b.e_total)}")

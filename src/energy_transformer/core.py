@@ -476,23 +476,30 @@ def et_step(x: TokenState, p: EtParams, alpha: float) -> TokenState:
     return x + alpha * energy_update(g, p)
 
 
-def et_forward(
-    x0: TokenState, p: EtParams, alpha: float, n_steps: int
-) -> list[tuple[TokenState, EnergyBreakdown]]:
-    """Unroll the dynamics for n_steps; returns n_steps+1 (state, energy) pairs.
+def et_unroll(x0: TokenState, p: EtParams, alpha: float, n_steps: int) -> list[TokenState]:
+    """Unroll the dynamics for n_steps; returns the n_steps+1 states.
 
-    trajectory[0] is the input with its energy; trajectory[t] is the state
-    after t updates.  Deterministic: identical inputs give bit-identical
-    trajectories.
+    states[0] is the input and states[t] the state after t `et_step`
+    updates.  No energy is evaluated.  Deterministic: identical inputs give
+    bit-identical states.
     """
     if n_steps < 1:
         raise InvalidInputError("n_steps must be >= 1")
-    x = np.asarray(x0, dtype=np.float64)
-    out = [(x, total_energy(x, p))]
+    states = [np.asarray(x0, dtype=np.float64)]
     for _ in range(n_steps):
-        x = et_step(x, p, alpha)
-        out.append((x, total_energy(x, p)))
-    return out
+        states.append(et_step(states[-1], p, alpha))
+    return states
+
+
+def et_forward(
+    x0: TokenState, p: EtParams, alpha: float, n_steps: int
+) -> list[tuple[TokenState, EnergyBreakdown]]:
+    """`et_unroll`'s n_steps+1 states, each paired with its energy.
+
+    For callers that read the energies (`et dump-energy`, the descent
+    checks); inference that needs only states calls `et_unroll`.
+    """
+    return [(x, total_energy(x, p)) for x in et_unroll(x0, p, alpha, n_steps)]
 
 
 def descent_quadratic_forms(x: TokenState, p: EtParams) -> Array:

@@ -26,7 +26,7 @@ from .core import (
     HopfieldParams,
     LayerNormParams,
     Relu,
-    et_step,
+    et_unroll,
     layer_norm,
     layer_norm_of,
 )
@@ -263,15 +263,13 @@ def embed_nodes(g: GraphInstance, p: GraphTaskParams) -> Array:
 def graph_forward(g: GraphInstance, p: GraphTaskParams) -> Array:
     """Per-node anomaly probabilities in (0, 1).
 
-    Runs the n_steps block updates and evaluates no energy (`et_forward`
-    and `et dump-energy` report those); the result has the same bits as
-    taking the final state of `et_forward`.
+    The head reads the layer-normalized initial and final states of
+    `et_unroll`; no energy is evaluated (`et_forward` and `et dump-energy`
+    report those).
     """
-    x = embed_nodes(g, p)
-    g1 = layer_norm(x, p.et.norm)
-    for _ in range(p.n_steps):
-        x = et_step(x, p.et, p.alpha)
-    g_final = layer_norm(x, p.et.norm)
+    x0 = embed_nodes(g, p)
+    g1 = layer_norm(x0, p.et.norm)
+    g_final = layer_norm(et_unroll(x0, p.et, p.alpha, p.n_steps)[-1], p.et.norm)
     gf = np.concatenate([g1, g_final], axis=-1)
     h1 = np.maximum(np.matmul(gf, p.head_w1) + p.head_b1, 0.0)
     z = np.matmul(h1, p.head_w2) + p.head_b2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import EtParams, EnergyBreakdown, layer_norm, layer_norm_of, et_forward
+from .core import EtParams, et_unroll, layer_norm, layer_norm_of, total_energy
 from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import DivergenceError, InvalidInputError, ShapeError
 from .optim import AdamState, adam_step
@@ -278,24 +278,23 @@ def reconstruct(
     p: ImageTaskParams,
     *,
     decode_at_min_energy: bool = False,
-) -> tuple[Array, list[tuple[Array, EnergyBreakdown]]]:
+) -> tuple[Array, list[Array]]:
     """Run the dynamics on a masked image and decode the result.
 
-    Returns the reconstructed image and the full (state, energy) trajectory.
-    By default the state after the final step is decoded; with
-    decode_at_min_energy the recorded state of lowest total energy is used.
+    Returns the reconstructed image and the n_steps+1 token states of
+    `et_unroll`.  By default the final state is decoded; with
+    decode_at_min_energy the state of lowest total energy is, and only then
+    are energies evaluated.  `et dump-energy` reports the energies.
     """
     channels = image.shape[0]
     grid = patchify(image, p.k_h, p.k_w)
-    x0 = encode_and_mask(grid, plan, p)
-    traj = et_forward(x0, p.et, p.alpha, p.n_steps)
+    states = et_unroll(encode_and_mask(grid, plan, p), p.et, p.alpha, p.n_steps)
     if decode_at_min_energy:
-        idx = int(np.argmin([b.e_total for _, b in traj]))
-        state = traj[idx][0]
+        state = states[int(np.argmin([total_energy(x, p.et).e_total for x in states]))]
     else:
-        state = traj[-1][0]
+        state = states[-1]
     out = PatchGrid(decode_tokens(state, p), grid.rows, grid.cols)
-    return unpatchify(out, channels, p.k_h, p.k_w), traj
+    return unpatchify(out, channels, p.k_h, p.k_w), states
 
 
 def masked_mse(recon: PatchGrid, orig: PatchGrid, plan: MaskPlan) -> float:

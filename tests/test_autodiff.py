@@ -94,6 +94,30 @@ class TestPrimitives:
         grads = ad.backward(ad.record_forward(build, values)[1])
         assert all(grads[name].flags.c_contiguous == kept for name in values)
 
+    @pytest.mark.parametrize("view", [False, True], ids=["weight", "transposed_view"])
+    def test_matmul_2d_weight_matches_per_batch_vjp(self, view):
+        # batched rows against a 2-D weight (xi^T in the Hopfield hidden
+        # layer when viewed): the folded VJP against the per-batch products
+        # that _unbroadcast sums, at 1e-12 of the size of the summed terms
+        rng = np.random.default_rng(4)
+        a = rng.normal(0, 1, (3, 4, 5, 6))
+        w = rng.normal(0, 1, (7, 6) if view else (6, 7))
+        g = rng.normal(0, 1, (3, 4, 5, 7))
+
+        def build(t, pv):
+            b = ad.transpose(pv["w"], (1, 0)) if view else pv["w"]
+            return ad.sum_(ad.matmul(pv["a"], b) * t.constant(g))
+
+        grads = ad.backward(ad.record_forward(build, {"a": a, "w": w})[1])
+        b = w.transpose(1, 0) if view else w
+        ga = ad._unbroadcast(np.matmul(g, b.swapaxes(-1, -2)), a.shape)
+        gb = ad._unbroadcast(np.matmul(a.swapaxes(-1, -2), g), b.shape)
+        scale_a = np.matmul(np.abs(g), np.abs(b).swapaxes(-1, -2))
+        scale_b = ad._unbroadcast(np.matmul(np.abs(a).swapaxes(-1, -2), np.abs(g)), b.shape)
+        gw = grads["w"].transpose(1, 0) if view else grads["w"]
+        assert (np.abs(grads["a"] - ga) <= 1e-12 * scale_a).all()
+        assert (np.abs(gw - gb) <= 1e-12 * scale_b).all()
+
     def test_transpose_reshape(self):
         self.check(
             lambda t, pv: ad.sum_(

@@ -141,6 +141,29 @@ class TestCliTrainEval:
         assert lines[0] == "step,energy_att,energy_hn,energy_total"
         assert len(lines) == 1 + 2 + 1  # header + t steps + initial state
 
+    def test_image_dump_energy_is_et_forward_of_seeded_plan(self, tmp_path, capsys):
+        from energy_transformer import image as im
+        from energy_transformer.cli import _image_params_template
+        from energy_transformer.core import et_forward
+        from energy_transformer.data import Rng, gen_synthetic_images, load_checkpoint
+
+        cfg = write_cfg(tmp_path, IMAGE_CFG)
+        main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+        ck = str(tmp_path / "run" / "checkpoint.bin")
+        capsys.readouterr()
+        assert main(["dump-energy", "--config", cfg, "--checkpoint", ck]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines() if l and l[0].isdigit()]
+        rc = load_config(cfg, None)
+        p = im.image_params_from_tensors(load_checkpoint(ck), _image_params_template(rc))
+        image = gen_synthetic_images(rc.seed, 1, size=rc.image_size, channels=rc.channels)[0]
+        rng = Rng(rc.seed).stream("image-eval-masking")
+        plan = im.make_mask_plan(p.n_tokens, rc.n_occluded, rc.n_replaced, rng)
+        x0 = im.encode_and_mask(im.patchify(image, p.k_h, p.k_w), plan, p)
+        traj = et_forward(x0, p.et, p.alpha, p.n_steps)
+        assert rows == [
+            f"{t},{b.e_att!r},{b.e_hn!r},{b.e_total!r}" for t, (_, b) in enumerate(traj)
+        ]
+
     def test_dump_energy_rows_non_increasing(self, tmp_path, capsys):
         # small weights keep the trajectory in the verified descent regime
         cfg = write_cfg(tmp_path, IMAGE_CFG + "t=6\n")

@@ -554,6 +554,21 @@ class TestEtForward:
         with pytest.raises(InvalidInputError):
             core.et_forward(rng.normal(0, 1, (4, 6)), p, 0.1, 0)
 
+    def test_states_are_et_unroll(self):
+        rng = np.random.default_rng(21)
+        p = small_params(rng, 5)
+        x = rng.normal(0, 1, (5, 6))
+        states = core.et_unroll(x, p, 0.1, 3)
+        traj = core.et_forward(x, p, 0.1, 3)
+        assert len(states) == len(traj) == 4
+        assert all(np.array_equal(s, y) for s, (y, _) in zip(states, traj))
+
+    def test_unroll_rejects_zero_steps(self):
+        rng = np.random.default_rng(20)
+        p = small_params(rng, 4)
+        with pytest.raises(InvalidInputError):
+            core.et_unroll(rng.normal(0, 1, (4, 6)), p, 0.1, 0)
+
 
 class TestDescentCertificate:
     def test_quadratic_forms_nonnegative(self):

@@ -5,9 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from energy_transformer import autodiff as ad
+from energy_transformer import core
 from energy_transformer import graph as gr
 from energy_transformer._kernels import stable_sigmoid
-from energy_transformer.core import et_forward, layer_norm
+from energy_transformer.core import et_forward, et_unroll, layer_norm
 from energy_transformer.data import Rng
 from energy_transformer.errors import (
     InvalidInputError,
@@ -134,12 +135,28 @@ class TestGraphForward:
         p = tiny_graph_params(g, n_steps=n_steps)
         x0 = gr.embed_nodes(g, p)
         g1 = layer_norm(x0, p.et.norm)
-        g_final = layer_norm(et_forward(x0, p.et, p.alpha, p.n_steps)[-1][0], p.et.norm)
+        final = et_unroll(x0, p.et, p.alpha, p.n_steps)[-1]
+        assert np.array_equal(final, et_forward(x0, p.et, p.alpha, p.n_steps)[-1][0])
+        g_final = layer_norm(final, p.et.norm)
         gf = np.concatenate([g1, g_final], axis=-1)
         h1 = np.maximum(np.matmul(gf, p.head_w1) + p.head_b1, 0.0)
         z = np.matmul(h1, p.head_w2) + p.head_b2
         expected = stable_sigmoid(z.reshape(-1))
         assert np.array_equal(gr.graph_forward(g, p), expected)
+
+    def test_evaluates_no_energy(self, monkeypatch):
+        calls = []
+        energy = core.total_energy
+
+        def counting(x, p):
+            calls.append(x)
+            return energy(x, p)
+
+        monkeypatch.setattr(core, "total_energy", counting)
+        monkeypatch.setattr(gr, "total_energy", counting, raising=False)
+        g = path_graph(6)
+        gr.graph_forward(g, tiny_graph_params(g, n_steps=3))
+        assert calls == []
 
     def test_disconnected_pair_with_self_loops(self):
         g = gr.GraphInstance(

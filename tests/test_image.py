@@ -5,8 +5,17 @@ import numpy.testing as npt
 import pytest
 
 from energy_transformer import autodiff as ad
+from energy_transformer import core
 from energy_transformer import image as im
-from energy_transformer.core import ExcludeSelf, Relu
+from energy_transformer.core import (
+    ExcludeSelf,
+    IncludeSelf,
+    Power,
+    Relu,
+    Softmax,
+    et_forward,
+    total_energy,
+)
 from energy_transformer.data import Rng, gen_synthetic_images
 from energy_transformer.errors import InvalidInputError, ShapeError
 from energy_transformer.optim import AdamState, adam_step
@@ -182,10 +191,10 @@ class TestReconstruct:
         p = tiny_params(n_tokens=16, patch=4, k_h=2, k_w=2)
         img = gen_synthetic_images(0, 1, size=8)[0]
         plan = im.make_mask_plan(16, 8, 7, Rng(0).stream("m"))
-        recon, traj = im.reconstruct(img, plan, p)
+        recon, states = im.reconstruct(img, plan, p)
         assert recon.shape == img.shape
         assert np.isfinite(recon).all()
-        assert len(traj) == p.n_steps + 1
+        assert len(states) == p.n_steps + 1
 
     def test_fixed_point_decodes_initial_state(self):
         # zero weights mean zero update: the decoded image equals decoding x0
@@ -195,9 +204,9 @@ class TestReconstruct:
         p.et.hopfield.xi[:] = 0.0
         img = gen_synthetic_images(1, 1, size=8)[0]
         plan = im.make_mask_plan(16, 4, 4, Rng(1).stream("m"))
-        recon, traj = im.reconstruct(img, plan, p)
-        x0 = traj[0][0]
-        npt.assert_array_equal(traj[-1][0], x0)
+        recon, states = im.reconstruct(img, plan, p)
+        x0 = states[0]
+        npt.assert_array_equal(states[-1], x0)
         direct = im.unpatchify(
             im.PatchGrid(im.decode_tokens(x0, p), 4, 4), 1, 2, 2
         )
@@ -208,14 +217,69 @@ class TestReconstruct:
         p = tiny_params(n_tokens=9, patch=4, k_h=2, k_w=2, init_std=0.3)
         img = gen_synthetic_images(2, 1, size=6)[0]
         plan = im.make_mask_plan(9, 3, 3, Rng(2).stream("m"))
-        recon_last, traj = im.reconstruct(img, plan, p)
+        recon_last, states = im.reconstruct(img, plan, p)
         recon_min, _ = im.reconstruct(img, plan, p, decode_at_min_energy=True)
-        energies = [b.e_total for _, b in traj]
+        energies = [total_energy(x, p.et).e_total for x in states]
         idx = int(np.argmin(energies))
+        expected = im.unpatchify(
+            im.PatchGrid(im.decode_tokens(states[idx], p), 3, 3), 1, 2, 2
+        )
+        npt.assert_array_equal(recon_min, expected)
+
+
+class TestReconstructMatchesEtForward:
+    """`reconstruct` keeps the bits of decoding `et_forward`'s trajectory."""
+
+    @pytest.mark.parametrize("min_energy", [False, True], ids=["last", "min_energy"])
+    @pytest.mark.parametrize(
+        "mask_mode", [ExcludeSelf(), IncludeSelf()], ids=["exclude", "include"]
+    )
+    @pytest.mark.parametrize(
+        "activation", [Relu(), Power(3), Softmax(0.7)], ids=["relu", "power3", "softmax"]
+    )
+    def test_image_and_states(self, activation, mask_mode, min_energy):
+        p = tiny_params(
+            n_tokens=9, patch=4, k_h=2, k_w=2, n_steps=4, init_std=0.3,
+            activation=activation, mask_mode=mask_mode,
+        )
+        p.alpha = 1.0  # large enough that the lowest energy need not be the last
+        img = gen_synthetic_images(4, 1, size=6)[0]
+        plan = im.make_mask_plan(9, 4, 3, Rng(4).stream("m"))
+        recon, states = im.reconstruct(img, plan, p, decode_at_min_energy=min_energy)
+        x0 = im.encode_and_mask(im.patchify(img, 2, 2), plan, p)
+        traj = et_forward(x0, p.et, p.alpha, p.n_steps)
+        assert len(states) == len(traj)
+        assert all(np.array_equal(x, y) for x, (y, _) in zip(states, traj))
+        idx = int(np.argmin([b.e_total for _, b in traj])) if min_energy else -1
         expected = im.unpatchify(
             im.PatchGrid(im.decode_tokens(traj[idx][0], p), 3, 3), 1, 2, 2
         )
-        npt.assert_array_equal(recon_min, expected)
+        assert np.array_equal(recon, expected)
+
+
+class TestReconstructEnergyCalls:
+    """Energies are evaluated only when the decode reads them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        energy = core.total_energy
+
+        def counting(x, p):
+            calls.append(x)
+            return energy(x, p)
+
+        monkeypatch.setattr(core, "total_energy", counting)
+        monkeypatch.setattr(im, "total_energy", counting, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("min_energy, expected", [(False, 0), (True, 4)])
+    def test_total_energy_calls(self, calls, min_energy, expected):
+        p = tiny_params(n_tokens=16, patch=4, k_h=2, k_w=2, n_steps=3)
+        img = gen_synthetic_images(0, 1, size=8)[0]
+        plan = im.make_mask_plan(16, 8, 7, Rng(0).stream("m"))
+        im.reconstruct(img, plan, p, decode_at_min_energy=min_energy)
+        assert len(calls) == expected  # T+1 under decode_at_min_energy
 
 
 class TestTrainingStep:
@@ -375,8 +439,8 @@ class TestEnergyTrajectory:
             p.alpha = 0.1
             img = gen_synthetic_images(seed, 1, size=8)[0]
             plan = im.make_mask_plan(16, 8, 7, Rng(seed).stream("m"))
-            _, traj = im.reconstruct(img, plan, p)
-            energies = np.array([b.e_total for _, b in traj])
+            _, states = im.reconstruct(img, plan, p)
+            energies = np.array([total_energy(x, p.et).e_total for x in states])
             assert (np.diff(energies) <= 1e-9).all()
 
 
