@@ -14,6 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import core
+from . import graph as gr
+from . import image as im
 from .core import (
     AttentionParams,
     EtParams,
@@ -26,7 +28,7 @@ from .core import (
     Relu,
     Softmax,
 )
-from .data import Rng
+from .data import Rng, params_from_tensors, params_to_tensors
 
 Array = np.ndarray
 
@@ -106,30 +108,50 @@ def check_energy_gradients(
             beta=float(rng.uniform(0.3, 2.0)),
             mask_mode=_random_mask_mode(kind, n, rng),
         )
-        name = f"attention_grad[{kind}]"
-        analytic = core.attention_grad(g, attn)
-        fd = ad.finite_diff(lambda gg: core.attention_energy(gg, attn), g, fd_step)
-        if corrupt == name:
-            analytic = analytic + 1.0
-        err = rel_err(analytic, -fd)
-        if err > worst.get(name, (-1.0, 0))[0]:
-            worst[name] = (err, seed)
-
         act = activations[i % 3]
         hop = HopfieldParams(xi=rng.normal(0.0, 0.6, (m, d)), activation=act)
-        name = f"hopfield_grad[{type(act).__name__.lower()}]"
-        analytic = core.hopfield_grad(g, hop)
-        fd = ad.finite_diff(lambda gg: core.hopfield_energy(gg, hop), g, fd_step)
-        if corrupt == name:
-            analytic = analytic + 1.0
-        err = rel_err(analytic, -fd)
-        if err > worst.get(name, (-1.0, 0))[0]:
-            worst[name] = (err, seed)
+        act_name = type(act).__name__.lower()
+        for name, grad, energy, p in (
+            (f"attention_grad[{kind}]", core.attention_grad, core.attention_energy, attn),
+            (f"hopfield_grad[{act_name}]", core.hopfield_grad, core.hopfield_energy, hop),
+        ):
+            analytic = grad(g, p)
+            if corrupt == name:
+                analytic = analytic + 1.0
+            fd = ad.finite_diff(lambda gg: energy(gg, p), g, fd_step)
+            err = rel_err(analytic, -fd)
+            if err > worst.get(name, (-1.0, 0))[0]:
+                worst[name] = (err, seed)
 
     return [
         CheckReport(name, err, seed, n_instances, tolerance)
         for name, (err, seed) in sorted(worst.items())
     ]
+
+
+def _check_tape(
+    prefix: str, loss_fn, table, params, data: tuple, tolerance, seed0, fd_step, corrupt
+) -> list[CheckReport]:
+    """Tape gradients of loss_fn(tape, vars, *data, params) vs. finite
+    differences, one report per tensor of `table`.
+
+    Each tensor is perturbed coordinate-wise.  `corrupt` names a report
+    ("<prefix>/<tensor>") whose tape gradient gets an injected fault.
+    """
+    tensors = params_to_tensors(params, table)
+    _, tape = ad.record_forward(loss_fn, tensors, *data, params)
+    grads = ad.backward(tape)
+    reports = []
+    for name in tensors:
+        def loss_of(value, name=name):
+            p2 = params_from_tensors({**tensors, name: value}, params, table)
+            return ad.record_forward(loss_fn, params_to_tensors(p2, table), *data, p2)[0]
+
+        label = f"{prefix}/{name}"
+        grad = grads[name] + 1.0 if corrupt == label else grads[name]
+        fd = ad.finite_diff(loss_of, tensors[name], fd_step)
+        reports.append(CheckReport(label, rel_err(grad, fd), seed0, 1, tolerance))
+    return reports
 
 
 def check_bptt_image(
@@ -142,20 +164,11 @@ def check_bptt_image(
     """Tape gradients of the full image-task loss vs. finite differences.
 
     Every parameter tensor (encoder, decoder, mask token, position bias,
-    norms, attention, memory) is perturbed coordinate-wise; tiny dims keep
-    this fast.
+    norms, attention, memory) is checked; tiny dims keep this fast.
     """
-    from .image import (
-        image_loss_fn,
-        image_params_from_tensors,
-        image_params_to_tensors,
-        init_image_params,
-        make_mask_plan,
-    )
-
     rng = Rng(seed0).stream("bptt-image")
     n_tokens, patch = 4, 6
-    params = init_image_params(
+    params = im.init_image_params(
         n_tokens=n_tokens,
         patch_size=patch,
         d=5,
@@ -173,41 +186,14 @@ def check_bptt_image(
         init_std=0.5,
     )
     patches = rng.normal(0, 1, (2, n_tokens, patch))
-    plans = [make_mask_plan(n_tokens, 2, 1, rng) for _ in range(2)]
+    plans = [im.make_mask_plan(n_tokens, 2, 1, rng) for _ in range(2)]
     replaced = np.stack([p.replaced_mask(n_tokens) for p in plans])
     occluded = np.stack([p.occluded_mask(n_tokens) for p in plans])
-
-    tensors = image_params_to_tensors(params)
-    _, tape = ad.record_forward(
-        image_loss_fn, tensors, patches, replaced, occluded, params
+    data = (patches, replaced, occluded)
+    return _check_tape(
+        "image", im.image_loss_fn, im.IMAGE_TENSORS, params, data,
+        tolerance, seed0, fd_step, corrupt,
     )
-    grads = ad.backward(tape)
-    if corrupt is not None:
-        short = corrupt.removeprefix("image/")
-        if corrupt.startswith("image/") and short in grads:
-            grads[short] = grads[short] + 1.0
-
-    reports = []
-    for name in tensors:
-        def loss_of(value, name=name):
-            probe = dict(tensors)
-            probe[name] = value
-            p2 = image_params_from_tensors(probe, params)
-            v, _ = ad.record_forward(
-                image_loss_fn,
-                image_params_to_tensors(p2),
-                patches,
-                replaced,
-                occluded,
-                p2,
-            )
-            return v
-
-        fd = ad.finite_diff(loss_of, tensors[name], fd_step)
-        reports.append(
-            CheckReport(f"image/{name}", rel_err(grads[name], fd), seed0, 1, tolerance)
-        )
-    return reports
 
 
 def check_bptt_graph(
@@ -218,24 +204,16 @@ def check_bptt_graph(
     corrupt: str | None = None,
 ) -> list[CheckReport]:
     """Tape gradients of the full graph-task loss vs. finite differences."""
-    from .graph import (
-        GraphInstance,
-        graph_loss_fn,
-        graph_params_from_tensors,
-        graph_params_to_tensors,
-        init_graph_params,
-    )
-
     rng = Rng(seed0).stream("bptt-graph")
     n = 5
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
-    g = GraphInstance(
+    g = gr.GraphInstance(
         n_nodes=n,
         edges=edges,
         features=rng.normal(0, 1, (n, 3)),
         labels=np.array([0, 1, 0, 0, 1]),
     )
-    params = init_graph_params(
+    params = gr.init_graph_params(
         g,
         d=4,
         h=2,
@@ -248,31 +226,11 @@ def check_bptt_graph(
         rng=rng,
         init_std=0.5,
     )
-    train_idx = np.array([0, 1, 2, 4])
-    tensors = graph_params_to_tensors(params)
-    _, tape = ad.record_forward(graph_loss_fn, tensors, g, train_idx, params)
-    grads = ad.backward(tape)
-    if corrupt is not None:
-        short = corrupt.removeprefix("graph/")
-        if corrupt.startswith("graph/") and short in grads:
-            grads[short] = grads[short] + 1.0
-
-    reports = []
-    for name in tensors:
-        def loss_of(value, name=name):
-            probe = dict(tensors)
-            probe[name] = value
-            p2 = graph_params_from_tensors(probe, params)
-            v, _ = ad.record_forward(
-                graph_loss_fn, graph_params_to_tensors(p2), g, train_idx, p2
-            )
-            return v
-
-        fd = ad.finite_diff(loss_of, tensors[name], fd_step)
-        reports.append(
-            CheckReport(f"graph/{name}", rel_err(grads[name], fd), seed0, 1, tolerance)
-        )
-    return reports
+    data = (g, np.array([0, 1, 2, 4]))
+    return _check_tape(
+        "graph", gr.graph_loss_fn, gr.GRAPH_TENSORS, params, data,
+        tolerance, seed0, fd_step, corrupt,
+    )
 
 
 def check_energy_descent(

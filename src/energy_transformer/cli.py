@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +55,18 @@ def _threads() -> int:
         return 1
 
 
-def _echo_config(cfg: RunConfig) -> None:
+def _config(args) -> RunConfig:
+    """--config with the --seed and --checkpoint flags applied, echoed.
+
+    Commands that take --checkpoint need one, from the flag or the config.
+    """
+    flags = {"seed": args.seed, "checkpoint": getattr(args, "checkpoint", None)}
+    cfg = load_config(args.config, {k: v for k, v in flags.items() if v not in (None, "")})
     print("# resolved configuration")
     print(format_resolved(cfg), end="")
+    if hasattr(args, "checkpoint") and not cfg.checkpoint:
+        raise ConfigError(f"{args.command} requires --checkpoint")
+    return cfg
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -68,30 +78,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 # Shared builders
 
-def _image_params_template(cfg: RunConfig) -> im.ImageTaskParams:
-    rng = Rng(cfg.seed).stream("image-init")
-    return im.init_image_params(
-        n_tokens=cfg.n_tokens,
-        patch_size=cfg.patch_dim,
-        d=cfg.d,
-        h=cfg.h,
-        y=cfg.y,
-        m=cfg.m,
-        beta=float(cfg.beta),
-        alpha=float(cfg.alpha),
-        n_steps=int(cfg.t),
-        k_h=cfg.patch_size,
-        k_w=cfg.patch_size,
-        mask_mode=cfg.image_mask_mode(),
-        activation=cfg.activation(),
-        enable_attn=cfg.enable_attn,
-        enable_hopfield=cfg.enable_hopfield,
-        rng=rng,
-        init_std=float(cfg.init_std),
-    )
-
-
-def _graph_init_kwargs(cfg: RunConfig) -> dict:
+def _block_kwargs(cfg: RunConfig) -> dict:
+    """Initializer keywords that both tasks read from the config alike."""
     return dict(
         d=cfg.d,
         h=cfg.h,
@@ -100,12 +88,28 @@ def _graph_init_kwargs(cfg: RunConfig) -> dict:
         beta=float(cfg.beta),
         alpha=float(cfg.alpha),
         n_steps=int(cfg.t),
-        hidden=cfg.head_hidden,
-        include_self=cfg.allow_self_attention,
+        activation=cfg.activation(),
         enable_attn=cfg.enable_attn,
         enable_hopfield=cfg.enable_hopfield,
-        activation=cfg.activation(),
         init_std=float(cfg.init_std),
+    )
+
+
+def _image_params_template(cfg: RunConfig) -> im.ImageTaskParams:
+    return im.init_image_params(
+        n_tokens=cfg.n_tokens,
+        patch_size=cfg.patch_dim,
+        k_h=cfg.patch_size,
+        k_w=cfg.patch_size,
+        mask_mode=cfg.image_mask_mode(),
+        rng=Rng(cfg.seed).stream("image-init"),
+        **_block_kwargs(cfg),
+    )
+
+
+def _graph_init_kwargs(cfg: RunConfig) -> dict:
+    return dict(
+        hidden=cfg.head_hidden, include_self=cfg.allow_self_attention, **_block_kwargs(cfg)
     )
 
 
@@ -132,17 +136,30 @@ def _load_graph(cfg: RunConfig) -> gr.GraphInstance:
     )
 
 
-def _require_image_checkpoint(tensors: dict) -> None:
-    if "enc.kernel" not in tensors:
-        raise ConfigError("checkpoint is not from the image task")
+def _train_config(cls, cfg: RunConfig):
+    """A trainer config whose fields all come from the same-named RunConfig keys."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
+
+def _checkpoint_params(cfg: RunConfig, g: gr.GraphInstance | None = None):
+    """The image task's parameters from cfg.checkpoint, or the graph task's
+    for graph `g`; the config supplies everything that is not a tensor."""
+    tensors = load_checkpoint(cfg.checkpoint)
+    if g is None:
+        if "enc.kernel" not in tensors:
+            raise ConfigError("checkpoint is not from the image task")
+        return im.image_params_from_tensors(tensors, _image_params_template(cfg))
+    template = gr.init_graph_params(
+        g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
+    )
+    return gr.graph_params_from_tensors(tensors, template)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_verify_grad(args) -> int:
-    cfg = load_config(args.config, {"seed": args.seed} if args.seed is not None else None)
-    _echo_config(cfg)
+    cfg = _config(args)
     corrupt = os.environ.get("ET_CORRUPT_GRAD") or None
     reports = run_verification(
         n_instances=cfg.fd_instances,
@@ -165,21 +182,7 @@ def cmd_verify_grad(args) -> int:
 def _train_image(cfg: RunConfig, out: Path) -> int:
     images = _load_images(cfg)
     params = _image_params_template(cfg)
-    train_cfg = im.ImageTrainConfig(
-        epochs=int(cfg.epochs),
-        batch_size=cfg.batch_size,
-        n_occluded=cfg.n_occluded,
-        n_replaced=cfg.n_replaced,
-        lr=cfg.lr,
-        b1=cfg.b1,
-        b2=cfg.b2,
-        weight_decay=float(cfg.weight_decay),
-        grad_clip=cfg.grad_clip,
-        warmup_steps=cfg.warmup_steps,
-        seed=cfg.seed,
-        max_steps=cfg.max_steps or None,
-    )
-    trained, history = im.train_image(images, params, train_cfg)
+    trained, history = im.train_image(images, params, _train_config(im.ImageTrainConfig, cfg))
     save_checkpoint(im.image_params_to_tensors(trained), out / "checkpoint.bin")
     _write_csv(
         out / "train_log.csv",
@@ -193,21 +196,12 @@ def _train_image(cfg: RunConfig, out: Path) -> int:
 def _train_graph(cfg: RunConfig, out: Path) -> int:
     g = _load_graph(cfg)
     seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
-    train_cfg = gr.GraphTrainConfig(
-        epochs=int(cfg.epochs),
-        lr=cfg.lr,
-        b1=cfg.b1,
-        b2=cfg.b2,
-        weight_decay=float(cfg.weight_decay),
-        grad_clip=cfg.grad_clip,
-        warmup_steps=cfg.warmup_steps,
-    )
     report = gr.run_graph_seeds(
         g,
         seeds,
         train_ratio=cfg.train_ratio,
         init_kwargs=_graph_init_kwargs(cfg),
-        cfg=train_cfg,
+        cfg=_train_config(gr.GraphTrainConfig, cfg),
         n_workers=min(_threads(), len(seeds)),
     )
     for seed, history in zip(seeds, report["histories"]):
@@ -229,9 +223,7 @@ def _train_graph(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {"seed": args.seed} if args.seed is not None else None
-    cfg = load_config(args.config, overrides)
-    _echo_config(cfg)
+    cfg = _config(args)
     out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
     if cfg.task == "image":
@@ -240,19 +232,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    overrides = {"seed": args.seed} if args.seed is not None else None
-    if args.checkpoint:
-        overrides = dict(overrides or {})
-        overrides["checkpoint"] = args.checkpoint
-    cfg = load_config(args.config, overrides)
-    _echo_config(cfg)
-    if not cfg.checkpoint:
-        raise ConfigError("eval requires --checkpoint")
-    tensors = load_checkpoint(cfg.checkpoint)
-    out = _out_dir(args, cfg)
+    cfg = _config(args)
     if cfg.task == "image":
-        _require_image_checkpoint(tensors)
-        params = im.image_params_from_tensors(tensors, _image_params_template(cfg))
+        params = _checkpoint_params(cfg)
+        out = _out_dir(args, cfg)
         images = _load_images(cfg)
         mse = im.eval_masked_mse(
             images,
@@ -266,10 +249,8 @@ def cmd_eval(args) -> int:
         _write_csv(out / "eval.csv", ["metric", "value"], [["masked_mse", mse]])
         return 0
     g = _load_graph(cfg)
-    template = gr.init_graph_params(
-        g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
-    )
-    params = gr.graph_params_from_tensors(tensors, template)
+    params = _checkpoint_params(cfg, g)
+    out = _out_dir(args, cfg)
     split = gr.make_split(g.n_nodes, cfg.train_ratio, Rng(cfg.seed).stream("graph-split"))
     probs = gr.graph_forward(g, params)
     f1 = gr.macro_f1(probs[split.test], g.labels[split.test])
@@ -284,18 +265,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump_energy(args) -> int:
-    overrides = {"seed": args.seed} if args.seed is not None else None
-    if args.checkpoint:
-        overrides = dict(overrides or {})
-        overrides["checkpoint"] = args.checkpoint
-    cfg = load_config(args.config, overrides)
-    _echo_config(cfg)
-    if not cfg.checkpoint:
-        raise ConfigError("dump-energy requires --checkpoint")
-    tensors = load_checkpoint(cfg.checkpoint)
+    cfg = _config(args)
     if cfg.task == "image":
-        _require_image_checkpoint(tensors)
-        params = im.image_params_from_tensors(tensors, _image_params_template(cfg))
+        params = _checkpoint_params(cfg)
         if args.input:
             image = load_netpbm(args.input)
         else:
@@ -311,10 +283,7 @@ def cmd_dump_energy(args) -> int:
         x0 = im.encode_and_mask(im.patchify(image, params.k_h, params.k_w), plan, params)
     else:
         g = gr.load_graph_dir(args.input) if args.input else _load_graph(cfg)
-        template = gr.init_graph_params(
-            g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
-        )
-        params = gr.graph_params_from_tensors(tensors, template)
+        params = _checkpoint_params(cfg, g)
         x0 = gr.embed_nodes(g, params)
     traj = et_forward(x0, params.et, params.alpha, params.n_steps)
     lines = ["step,energy_att,energy_hn,energy_total"]
@@ -331,14 +300,8 @@ def cmd_dump_energy(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    overrides = {"checkpoint": args.checkpoint} if args.checkpoint else None
-    cfg = load_config(args.config, overrides)
-    _echo_config(cfg)
-    if not cfg.checkpoint:
-        raise ConfigError("export-weights requires --checkpoint")
-    tensors = load_checkpoint(cfg.checkpoint)
-    _require_image_checkpoint(tensors)
-    params = im.image_params_from_tensors(tensors, _image_params_template(cfg))
+    cfg = _config(args)
+    params = _checkpoint_params(cfg)
     grid = im.export_weights_as_patches(params, args.which)
     prefix = {"hopfield": "mem", "keys": "key", "queries": "query"}[args.which]
     out = _out_dir(args, cfg)
@@ -350,9 +313,7 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    overrides = {"seed": args.seed} if args.seed is not None else None
-    cfg = load_config(args.config, overrides)
-    _echo_config(cfg)
+    cfg = _config(args)
     out = _out_dir(args, cfg)
     if cfg.task == "image":
         images = gen_synthetic_images(

@@ -246,6 +246,36 @@ class EtParams:
         return self.norm.dim
 
 
+def init_et_params(
+    rng: np.random.Generator,
+    *,
+    d: int,
+    h: int,
+    y: int,
+    m: int,
+    beta: float,
+    mask_mode: MaskMode,
+    activation: Activation,
+    init_std: float,
+    enable_attn: bool,
+    enable_hopfield: bool,
+) -> EtParams:
+    """A block with keys, then queries, then memories drawn from
+    N(0, init_std); layer-norm scale one and bias zero."""
+    return EtParams(
+        norm=LayerNormParams(gamma=1.0, delta=np.zeros(d)),
+        attn=AttentionParams(
+            w_key=rng.normal(0, init_std, (y, h, d)),
+            w_query=rng.normal(0, init_std, (y, h, d)),
+            beta=beta,
+            mask_mode=mask_mode,
+        ),
+        hopfield=HopfieldParams(xi=rng.normal(0, init_std, (m, d)), activation=activation),
+        enable_attn=enable_attn,
+        enable_hopfield=enable_hopfield,
+    )
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Energy of one state, split by module; disabled modules report 0."""

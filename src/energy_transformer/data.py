@@ -138,7 +138,11 @@ def save_netpbm(path, image: Array) -> None:
 
 
 def load_netpbm(path) -> Array:
-    """Read a P5/P6 file written by save_netpbm back to a float image."""
+    """Read a P5/P6 file written by save_netpbm back to a float image.
+
+    A malformed header or payload, and a sidecar without finite lo= and hi=
+    lines, raise FormatError.
+    """
     path = Path(path)
     data = path.read_bytes()
     fields, pos = [], 0
@@ -165,6 +169,8 @@ def load_netpbm(path) -> Array:
         w, h = int(ws), int(hs)
     except ValueError as exc:
         raise FormatError(f"{path}: bad dimensions") from exc
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: dimensions {w}x{h} are not positive")
     channels = 1 if magic == b"P5" else 3
     payload = data[pos : pos + w * h * channels]
     if len(payload) != w * h * channels:
@@ -177,11 +183,14 @@ def load_netpbm(path) -> Array:
     img = img / 255.0
     sidecar = _sidecar_path(path)
     if sidecar.exists():
-        meta = dict(
-            line.split("=", 1) for line in sidecar.read_text().splitlines() if line
-        )
-        lo, hi = float(meta["lo"]), float(meta["hi"])
+        try:
+            meta = dict(line.split("=", 1) for line in sidecar.read_text().splitlines() if line)
+            lo, hi = float(meta["lo"]), float(meta["hi"])
+        except (ValueError, KeyError) as exc:
+            raise FormatError(f"{sidecar}: expected lo=<number> and hi=<number> lines") from exc
         span = hi - lo if hi > lo else 1.0
+        if not np.isfinite([lo, hi, span]).all():
+            raise FormatError(f"{sidecar}: rescale lo={lo!r} hi={hi!r} is not finite")
         img = img * span + lo
     return img
 
@@ -258,7 +267,7 @@ def save_checkpoint(tensors: dict[str, Array], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a checkpoint; rejects bad magic, version mismatch, truncation."""
+    """Read a checkpoint; malformed, truncated or mismatched data raises FormatError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -278,14 +287,20 @@ def load_checkpoint(path) -> dict[str, Array]:
     out: dict[str, Array] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from exc
         (rank,) = struct.unpack("<I", take(4))
         if rank > _MAX_RANK:
             raise FormatError(f"{path}: tensor {name!r} has rank {rank} > {_MAX_RANK}")
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         # exact integer product: take() rejects a size beyond the file
         raw = take(8 * math.prod(dims))
-        out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        try:
+            out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:  # an empty tensor with a dim numpy cannot index
+            raise FormatError(f"{path}: tensor {name!r} has dims {dims}: {exc}") from exc
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return out

@@ -20,25 +20,17 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import stable_sigmoid
 from .core import (
-    AttentionParams,
     EtParams,
     GraphNeighborhood,
-    HopfieldParams,
-    LayerNormParams,
     Relu,
     et_unroll,
+    init_et_params,
     layer_norm,
     layer_norm_of,
 )
 from .data import Rng, params_from_tensors, params_to_tensors
-from .errors import (
-    DivergenceError,
-    FormatError,
-    InvalidInputError,
-    MetricUndefinedError,
-    ShapeError,
-)
-from .optim import AdamState, adam_step
+from .errors import FormatError, InvalidInputError, MetricUndefinedError, ShapeError
+from .optim import TrainConfig as GraphTrainConfig, descend
 from .unroll import et_unroll_v
 
 Array = np.ndarray
@@ -187,18 +179,16 @@ def init_graph_params(
 ) -> GraphTaskParams:
     rng = rng or np.random.default_rng(0)
     hidden = hidden or d
-    mask_mode = GraphNeighborhood(adjacency_matrix(g, include_self=include_self))
-    et = EtParams(
-        norm=LayerNormParams(gamma=1.0, delta=np.zeros(d)),
-        attn=AttentionParams(
-            w_key=rng.normal(0, init_std, (y, h, d)),
-            w_query=rng.normal(0, init_std, (y, h, d)),
-            beta=beta,
-            mask_mode=mask_mode,
-        ),
-        hopfield=HopfieldParams(
-            xi=rng.normal(0, init_std, (m, d)), activation=activation or Relu()
-        ),
+    et = init_et_params(
+        rng,
+        d=d,
+        h=h,
+        y=y,
+        m=m,
+        beta=beta,
+        mask_mode=GraphNeighborhood(adjacency_matrix(g, include_self=include_self)),
+        activation=activation or Relu(),
+        init_std=init_std,
         enable_attn=enable_attn,
         enable_hopfield=enable_hopfield,
     )
@@ -385,18 +375,6 @@ def graph_loss_fn(
     return ad.neg(pos_term + neg_term)
 
 
-@dataclass
-class GraphTrainConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    b1: float = 0.9
-    b2: float = 0.99
-    weight_decay: float = 0.0
-    grad_clip: float | None = 1.0
-    warmup_steps: int = 0
-    seed: int = 0
-
-
 def train_graph(
     g: GraphInstance,
     split: SplitPlan,
@@ -408,26 +386,16 @@ def train_graph(
     Returns (best-validation parameters, test metrics, per-epoch history).
     """
     tensors = graph_params_to_tensors(params)
-    state = AdamState.init(
-        tensors,
-        lr=cfg.lr,
-        b1=cfg.b1,
-        b2=cfg.b2,
-        weight_decay=cfg.weight_decay,
-        grad_clip=cfg.grad_clip,
-        decay_exempt=GRAPH_DECAY_EXEMPT,
-    )
+    state = cfg.adam(tensors, GRAPH_DECAY_EXEMPT)
     history: list[dict] = []
     best = {"val_macro_f1": -1.0, "tensors": tensors}
     for epoch in range(cfg.epochs):
         # validation metrics come from the same recorded forward pass that
         # produces the loss, so they describe the pre-update parameters
         probs_out: list = []
-        loss, tape = ad.record_forward(
-            graph_loss_fn, tensors, g, split.train, params, probs_out
+        loss, updated, state = descend(
+            graph_loss_fn, tensors, state, cfg, g, split.train, params, probs_out
         )
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}: {loss}")
         probs = probs_out[0]
         row = {
             "epoch": epoch,
@@ -438,10 +406,7 @@ def train_graph(
         history.append(row)
         if row["val_macro_f1"] > best["val_macro_f1"]:
             best = {"val_macro_f1": row["val_macro_f1"], "tensors": tensors}
-
-        grads = ad.backward(tape)
-        lr_scale = min(1.0, (epoch + 1) / cfg.warmup_steps) if cfg.warmup_steps else 1.0
-        tensors, state = adam_step(tensors, grads, state, lr_scale=lr_scale)
+        tensors = updated
     best_params = graph_params_from_tensors(best["tensors"], params)
     probs = graph_forward(g, best_params)
     metrics = {
@@ -582,29 +547,39 @@ def save_graph_dir(g: GraphInstance, dirpath) -> None:
 
 
 def load_graph_dir(dirpath) -> GraphInstance:
-    """Read a graph written by save_graph_dir (duplicate edges ignored)."""
+    """Read a graph written by save_graph_dir (duplicate edges ignored).
+
+    Raises FormatError on text that is not UTF-8, a feature table that is
+    empty, ragged, non-numeric or non-finite, labels that are not one 0 or 1
+    per feature row, and an edge line that is not two node indices.
+    """
     dirpath = Path(dirpath)
-    features = []
-    with open(dirpath / "features.csv", newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                features.append([float(v) for v in row])
-    features = np.asarray(features, dtype=np.float64)
-    labels = []
-    for line in (dirpath / "labels.txt").read_text().splitlines():
-        line = line.strip()
-        if line:
-            labels.append(int(line))
-    labels = np.asarray(labels, dtype=np.intp)
-    n = features.shape[0]
+    try:
+        with open(dirpath / "features.csv", newline="") as fh:
+            features = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        labels = [int(s) for s in (dirpath / "labels.txt").read_text().splitlines() if s.strip()]
+        edge_lines = (dirpath / "edges.tsv").read_text().splitlines()
+    except (ValueError, csv.Error) as exc:
+        raise FormatError(f"{dirpath}: {exc}") from exc
+    n = len(features)
+    if n == 0 or any(len(row) != len(features[0]) for row in features):
+        raise FormatError(f"{dirpath / 'features.csv'}: need one or more rows of equal length")
+    if not np.isfinite(features).all():
+        raise FormatError(f"{dirpath / 'features.csv'}: non-finite feature")
+    if len(labels) != n or not set(labels) <= {0, 1}:
+        raise FormatError(f"{dirpath / 'labels.txt'}: need one 0 or 1 per feature row ({n})")
     edges = []
-    for lineno, line in enumerate((dirpath / "edges.tsv").read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(edge_lines, 1):
+        if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"edges.tsv line {lineno}: expected src<TAB>dst")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = (int(v) for v in line.strip().split("\t"))
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError
+        except ValueError:
+            raise FormatError(
+                f"edges.tsv line {lineno}: expected src<TAB>dst, two node indices below {n}"
+            ) from None
+        edges.append((a, b))
     edges = normalize_edges(np.asarray(edges, dtype=np.intp).reshape(-1, 2), n)
     return GraphInstance(n_nodes=n, edges=edges, features=features, labels=labels)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import EtParams, et_unroll, layer_norm, layer_norm_of, total_energy
+from .core import EtParams, LayerNormParams, et_unroll, init_et_params, layer_norm
+from .core import layer_norm_of, total_energy
 from .data import Rng, params_from_tensors, params_to_tensors
-from .errors import DivergenceError, InvalidInputError, ShapeError
-from .optim import AdamState, adam_step
+from .errors import InvalidInputError, ShapeError
+from .optim import TrainConfig, descend
 from .unroll import et_unroll_v
 
 Array = np.ndarray
@@ -180,20 +181,17 @@ def init_image_params(
 ) -> ImageTaskParams:
     """Kernels, memories, mask token, and position bias from N(0, init_std);
     biases zero; layer-norm scale one."""
-    from .core import AttentionParams, HopfieldParams, LayerNormParams
-
     rng = rng or np.random.default_rng(0)
-    et = EtParams(
-        norm=LayerNormParams(gamma=1.0, delta=np.zeros(d)),
-        attn=AttentionParams(
-            w_key=rng.normal(0, init_std, (y, h, d)),
-            w_query=rng.normal(0, init_std, (y, h, d)),
-            beta=beta,
-            mask_mode=mask_mode,
-        ),
-        hopfield=HopfieldParams(
-            xi=rng.normal(0, init_std, (m, d)), activation=activation
-        ),
+    et = init_et_params(
+        rng,
+        d=d,
+        h=h,
+        y=y,
+        m=m,
+        beta=beta,
+        mask_mode=mask_mode,
+        activation=activation,
+        init_std=init_std,
         enable_attn=enable_attn,
         enable_hopfield=enable_hopfield,
     )
@@ -264,8 +262,6 @@ def encode_and_mask(grid: PatchGrid, plan: MaskPlan, p: ImageTaskParams) -> Arra
 
 def decode_tokens(x: Array, p: ImageTaskParams) -> Array:
     """Decoder: layer norm then affine projection back to patch space."""
-    from .core import LayerNormParams
-
     norm = LayerNormParams(
         gamma=p.dec_norm_gamma, delta=p.dec_norm_delta, epsilon=p.dec_norm_epsilon
     )
@@ -338,19 +334,13 @@ def image_loss_fn(
 
 
 @dataclass
-class ImageTrainConfig:
+class ImageTrainConfig(TrainConfig):
     epochs: int = 40
+    weight_decay: float = 0.05
     batch_size: int = 16
     n_occluded: int = 8
     n_replaced: int = 7
-    lr: float = 1e-3
-    b1: float = 0.9
-    b2: float = 0.99
-    weight_decay: float = 0.05
-    grad_clip: float | None = 1.0
-    warmup_steps: int = 0
-    seed: int = 0
-    max_steps: int | None = None
+    max_steps: int = 0  # 0: unlimited
 
 
 def train_image(
@@ -366,22 +356,13 @@ def train_image(
     rng_order = Rng(cfg.seed).stream("image-batch-order")
 
     tensors = image_params_to_tensors(params)
-    state = AdamState.init(
-        tensors,
-        lr=cfg.lr,
-        b1=cfg.b1,
-        b2=cfg.b2,
-        weight_decay=cfg.weight_decay,
-        grad_clip=cfg.grad_clip,
-        decay_exempt=IMAGE_DECAY_EXEMPT,
-    )
+    state = cfg.adam(tensors, IMAGE_DECAY_EXEMPT)
     history: list[dict] = []
-    step = 0
     for epoch in range(cfg.epochs):
         order = rng_order.permutation(n_img)
         losses = []
         for start in range(0, n_img, cfg.batch_size):
-            if cfg.max_steps is not None and step >= cfg.max_steps:
+            if cfg.max_steps and state.step >= cfg.max_steps:
                 break
             batch_ids = order[start : start + cfg.batch_size]
             plans = [
@@ -390,28 +371,12 @@ def train_image(
             ]
             replaced = np.stack([p.replaced_mask(n) for p in plans])
             occluded = np.stack([p.occluded_mask(n) for p in plans])
-            loss, tape = ad.record_forward(
-                image_loss_fn,
-                tensors,
-                patches_all[batch_ids],
-                replaced,
-                occluded,
-                params,
-            )
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} step {step}: {loss}"
-                )
-            grads = ad.backward(tape)
-            lr_scale = (
-                min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else 1.0
-            )
-            tensors, state = adam_step(tensors, grads, state, lr_scale=lr_scale)
+            batch = (patches_all[batch_ids], replaced, occluded, params)
+            loss, tensors, state = descend(image_loss_fn, tensors, state, cfg, *batch)
             losses.append(loss)
-            step += 1
         if losses:
             history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-        if cfg.max_steps is not None and step >= cfg.max_steps:
+        if cfg.max_steps and state.step >= cfg.max_steps:
             break
     return image_params_from_tensors(tensors, params), history
 

@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay and global gradient-norm clipping."""
+"""Adam with decoupled weight decay and global gradient-norm clipping, and
+the training step both tasks take with it."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import DivergenceError
 
 Array = np.ndarray
@@ -100,3 +102,45 @@ def adam_step(
         decay_exempt=state.decay_exempt,
     )
     return new_params, new_state
+
+
+@dataclass
+class TrainConfig:
+    """Optimizer and schedule settings both tasks train with; warmup_steps
+    ramps the learning rate linearly over the first steps (0: no warmup)."""
+
+    epochs: int = 100
+    lr: float = 1e-3
+    b1: float = 0.9
+    b2: float = 0.99
+    weight_decay: float = 0.0
+    grad_clip: float | None = 1.0
+    warmup_steps: int = 0
+    seed: int = 0
+
+    def adam(self, tensors: dict[str, Array], decay_exempt: frozenset[str]) -> AdamState:
+        """Fresh Adam state for `tensors` with these hyperparameters."""
+        return AdamState.init(
+            tensors,
+            lr=self.lr,
+            b1=self.b1,
+            b2=self.b2,
+            weight_decay=self.weight_decay,
+            grad_clip=self.grad_clip,
+            decay_exempt=decay_exempt,
+        )
+
+
+def descend(loss_fn, tensors: dict[str, Array], state: AdamState, cfg: TrainConfig, *args):
+    """Record loss_fn(tape, vars, *args) at `tensors`, backpropagate and take
+    the next Adam step, its learning rate warmed up over cfg.warmup_steps.
+
+    Returns (loss, new tensors, new state).  A non-finite loss raises
+    DivergenceError before any update.  state.step counts the steps taken.
+    """
+    loss, tape = ad.record_forward(loss_fn, tensors, *args)
+    if not np.isfinite(loss):
+        raise DivergenceError(f"non-finite loss at step {state.step}: {loss}")
+    step = state.step + 1
+    lr_scale = min(1.0, step / cfg.warmup_steps) if cfg.warmup_steps else 1.0
+    return (loss, *adam_step(tensors, ad.backward(tape), state, lr_scale=lr_scale))

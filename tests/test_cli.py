@@ -1,13 +1,17 @@
 """Config parsing and the command-line surface (exit codes, files, determinism)."""
 
 import os
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from energy_transformer import graph as gr
+from energy_transformer import image as im
 from energy_transformer.cli import main
 from energy_transformer.config import RunConfig, format_resolved, load_config, parse_config_text
-from energy_transformer.data import load_netpbm
+from energy_transformer.data import gen_synthetic_images, load_netpbm, save_image_dataset
 from energy_transformer.errors import ConfigError
 
 
@@ -437,3 +441,118 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+class _Captured(Exception):
+    """Carries the train config a trainer was called with out of `main`."""
+
+
+class TestTrainConfigFromRunConfig:
+    @pytest.mark.parametrize(
+        "cfg_text, trainer, cls",
+        [(IMAGE_CFG, "image.train_image", im.ImageTrainConfig),
+         (GRAPH_CFG, "graph.run_graph_seeds", gr.GraphTrainConfig)],
+        ids=["image", "graph"],
+    )
+    def test_train_passes_every_field_through(self, tmp_path, monkeypatch, cfg_text, trainer, cls):
+        assert {f.name for f in fields(cls)} <= {f.name for f in fields(RunConfig)}
+        cfg = write_cfg(
+            tmp_path,
+            cfg_text + "lr=0.002\nb1=0.8\nb2=0.95\nweight_decay=0.01\ngrad_clip=0.5\n"
+            "warmup_steps=5\nmax_steps=3\nseed=4\nepochs=7\n",
+        )
+
+        def capture(*args, **kwargs):
+            raise _Captured(kwargs.get("cfg", args[-1]))
+
+        monkeypatch.setattr(f"energy_transformer.{trainer}", capture)
+        with pytest.raises(_Captured) as exc:
+            main(["train", "--config", cfg, "--out", str(tmp_path / "r")])
+        train_cfg, run_cfg = exc.value.args[0], load_config(cfg)
+        assert type(train_cfg) is cls
+        for f in fields(cls):
+            assert getattr(train_cfg, f.name) == getattr(run_cfg, f.name), f.name
+        assert train_cfg.warmup_steps == 5 and train_cfg.epochs == 7  # not the defaults
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+VALID_GRAPH_DIR = {
+    "edges.tsv": "0\t1\n1\t2\n2\t3\n",
+    "features.csv": "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n",
+    "labels.txt": "0\n1\n0\n1\n",
+}
+
+
+class TestBadInputFilesExit2:
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("edges.tsv", "x\t1\n"),
+            ("edges.tsv", "-1\t2\n"),
+            ("edges.tsv", "0\t4\n"),
+            ("features.csv", "0.1,0.2\n0.3\n0.5,0.6\n0.7,0.8\n"),
+            ("features.csv", "0.1,x\n0.3,0.4\n0.5,0.6\n0.7,0.8\n"),
+            ("features.csv", "nan,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n"),
+            ("labels.txt", "0\n7\n0\n1\n"),
+            ("labels.txt", "0\n1\n0\n"),
+        ],
+        ids=[
+            "edge_not_integer", "edge_negative", "edge_out_of_range", "features_ragged",
+            "feature_not_numeric", "feature_nan", "label_7", "label_count",
+        ],
+    )
+    def test_graph_dir(self, tmp_path, capsys, name, text):
+        d = tmp_path / "g"
+        d.mkdir()
+        for fname, content in VALID_GRAPH_DIR.items():
+            (d / fname).write_text(content)
+        assert gr.load_graph_dir(d).n_nodes == 4
+        (d / name).write_text(text)
+        cfg = write_cfg(tmp_path, GRAPH_CFG + f"data_dir={d}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("img_00000.pgm", b"P5\n-2 -2\n255\n\x00\x00\x00\x00"),
+            ("img_00000.pgm", b"P5\n0 8\n255\n"),
+            ("img_00000.pgm.meta", b"lo=0.0\nhi\n"),
+            ("img_00000.pgm.meta", b"hi=1.0\n"),
+            ("img_00000.pgm.meta", b"lo=0.0\n"),
+            ("img_00000.pgm.meta", b"lo=nan\nhi=1.0\n"),
+            ("img_00000.pgm.meta", b"lo=0.0\nhi=inf\n"),
+            ("img_00000.pgm.meta", b"lo=-1e308\nhi=1e308\n"),
+        ],
+        ids=[
+            "dims_negative", "dims_zero", "sidecar_no_equals", "sidecar_no_lo",
+            "sidecar_no_hi", "sidecar_lo_nan", "sidecar_hi_inf", "sidecar_span_inf",
+        ],
+    )
+    def test_netpbm(self, tmp_path, capsys, name, content):
+        d = tmp_path / "ds"
+        save_image_dataset(d, gen_synthetic_images(0, 2, size=8))
+        (d / name).write_bytes(content)
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={d}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "name, dims",
+        [(b"\xff", ()), (b"w", (0, 2**63))],
+        ids=["name_not_utf8", "empty_tensor_dim_too_large"],
+    )
+    def test_checkpoint(self, tmp_path, capsys, name, dims):
+        ck = tmp_path / "ck.bin"
+        ck.write_bytes(
+            b"ETCK" + struct.pack("<III", 1, 1, len(name)) + name
+            + struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+            + (b"\x00" * 8 if not dims else b"")
+        )
+        cfg = write_cfg(tmp_path, IMAGE_CFG)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ck)]) == 2
+        _assert_one_error_line(capsys)

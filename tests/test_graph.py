@@ -11,6 +11,7 @@ from energy_transformer._kernels import stable_sigmoid
 from energy_transformer.core import et_forward, et_unroll, layer_norm
 from energy_transformer.data import Rng
 from energy_transformer.errors import (
+    DivergenceError,
     InvalidInputError,
     MetricUndefinedError,
     ShapeError,
@@ -353,6 +354,29 @@ class TestTrainGraph:
         for k in t0:
             npt.assert_array_equal(t0[k], t1[k], err_msg=k)
         assert len(history) == 3
+
+    def test_nan_feature_diverges_before_any_update(self):
+        g = path_graph(12, seed=3)
+        g.features[4, 1] = np.nan
+        split = gr.SplitPlan(np.arange(6), np.arange(6, 9), np.arange(9, 12), 0.5)
+        with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
+            gr.train_graph(g, split, tiny_graph_params(g), gr.GraphTrainConfig(epochs=2))
+
+    def test_block_draws_match_inline_construction(self):
+        # keys, then queries, then memories, then the task's own tensors
+        g = path_graph(5)
+        p = tiny_graph_params(g, seed=5)
+        rng = np.random.default_rng(5)
+        for got, shape in (
+            (p.et.attn.w_key, (2, 2, 4)),
+            (p.et.attn.w_query, (2, 2, 4)),
+            (p.et.hopfield.xi, (3, 4)),
+            (p.embed_kernel, (3, 4)),
+        ):
+            npt.assert_array_equal(got, rng.normal(0, 0.4, shape))
+        assert p.et.norm.gamma == 1.0 and not p.et.norm.delta.any()
+        assert p.et.hopfield.activation == core.Relu()
+        npt.assert_array_equal(p.et.attn.mask_mode.adjacency, gr.adjacency_matrix(g))
 
     def test_multi_seed_report_has_mean_and_std(self):
         g = gr.gen_planted_anomaly_graph(3, 60, 0.2, 1.0, n_communities=2, p_in=0.3)

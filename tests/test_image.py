@@ -17,7 +17,7 @@ from energy_transformer.core import (
     total_energy,
 )
 from energy_transformer.data import Rng, gen_synthetic_images
-from energy_transformer.errors import InvalidInputError, ShapeError
+from energy_transformer.errors import DivergenceError, InvalidInputError, ShapeError
 from energy_transformer.optim import AdamState, adam_step
 
 
@@ -374,6 +374,29 @@ class TestTrainingStep:
         got = im.image_params_to_tensors(trained)
         for k in expected:
             npt.assert_array_equal(got[k], expected[k], err_msg=k)
+
+    def test_nan_image_diverges_before_any_update(self):
+        p = tiny_params(n_tokens=4, patch=6, k_h=1, k_w=6)
+        images = np.random.default_rng(0).normal(0, 1, (2, 1, 4, 6))
+        images[1, 0, 2, 3] = np.nan
+        cfg = im.ImageTrainConfig(epochs=1, batch_size=2, n_occluded=4, n_replaced=1)
+        with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
+            im.train_image(images, p, cfg)
+
+    def test_block_draws_match_inline_construction(self):
+        # keys, then queries, then memories, then the task's own tensors
+        p = tiny_params(rng=np.random.default_rng(5), init_std=0.3)
+        rng = np.random.default_rng(5)
+        for got, shape in (
+            (p.et.attn.w_key, (2, 2, 5)),
+            (p.et.attn.w_query, (2, 2, 5)),
+            (p.et.hopfield.xi, (3, 5)),
+            (p.enc_kernel, (6, 5)),
+        ):
+            npt.assert_array_equal(got, rng.normal(0, 0.3, shape))
+        assert p.et.norm.gamma == 1.0 and not p.et.norm.delta.any()
+        assert p.et.attn.beta == 0.8 and p.et.attn.mask_mode == ExcludeSelf()
+        assert p.et.hopfield.activation == Relu()
 
     def test_training_determinism(self):
         p = tiny_params(n_tokens=4, patch=6, k_h=1, k_w=6)
