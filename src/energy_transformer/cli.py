@@ -29,7 +29,7 @@ from .data import (
     save_image_dataset,
     save_netpbm,
 )
-from .errors import ConfigError, DivergenceError, EtError, FormatError
+from .errors import ConfigError, DivergenceError, EtError, FormatError, ShapeError
 from .core import et_forward
 
 Array = np.ndarray
@@ -143,16 +143,24 @@ def _train_config(cls, cfg: RunConfig):
 
 def _checkpoint_params(cfg: RunConfig, g: gr.GraphInstance | None = None):
     """The image task's parameters from cfg.checkpoint, or the graph task's
-    for graph `g`; the config supplies everything that is not a tensor."""
+    for graph `g`; the config supplies everything that is not a tensor.
+
+    A tensor whose shape does not fit the config is a ConfigError.
+    """
     tensors = load_checkpoint(cfg.checkpoint)
     if g is None:
         if "enc.kernel" not in tensors:
             raise ConfigError("checkpoint is not from the image task")
-        return im.image_params_from_tensors(tensors, _image_params_template(cfg))
-    template = gr.init_graph_params(
-        g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
-    )
-    return gr.graph_params_from_tensors(tensors, template)
+        template, from_tensors = _image_params_template(cfg), im.image_params_from_tensors
+    else:
+        template = gr.init_graph_params(
+            g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
+        )
+        from_tensors = gr.graph_params_from_tensors
+    try:
+        return from_tensors(tensors, template)
+    except ShapeError as exc:
+        raise ConfigError(f"checkpoint {cfg.checkpoint} does not fit the config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +168,8 @@ def _checkpoint_params(cfg: RunConfig, g: gr.GraphInstance | None = None):
 
 def cmd_verify_grad(args) -> int:
     cfg = _config(args)
-    corrupt = os.environ.get("ET_CORRUPT_GRAD") or None
     reports = run_verification(
-        n_instances=cfg.fd_instances,
-        tolerance=cfg.tolerance,
-        seed=cfg.seed,
-        fd_step=cfg.fd_step,
-        corrupt=corrupt,
+        n_instances=cfg.fd_instances, tolerance=cfg.tolerance, seed=cfg.seed, fd_step=cfg.fd_step
     )
     for r in reports:
         print(r.line())

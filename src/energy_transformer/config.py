@@ -42,7 +42,9 @@ class RunConfig:
     y: int | str = _AUTO
     m: int | str = _AUTO
     f: int = 8                       # graph feature width
-    head_hidden: int = 0             # graph head width; 0 -> auto (16)
+    # graph head width; a small head resists memorizing training labels
+    # through the per-node embeddings on desk-scale graphs
+    head_hidden: int = 16
     # image geometry
     image_size: int = 32
     channels: int = 1
@@ -51,10 +53,9 @@ class RunConfig:
     alpha: float | str = _AUTO       # image 0.1, graph 1.0
     t: int | str = _AUTO             # image 6, graph 1
     beta: float | str = _AUTO        # 1/sqrt(y)
-    mask_mode: str = "exclude_self"  # image attention mask
     enable_attn: bool = True
     enable_hopfield: bool = True
-    allow_self_attention: bool = False
+    allow_self_attention: bool = False  # image IncludeSelf, graph self-loops
     hn_activation: str = "relu"      # relu | power:<n> | softmax:<beta>
     # optimization
     init_std: float | str = _AUTO    # image 0.02, graph 0.1
@@ -96,8 +97,6 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in ("image", "graph"):
             raise ConfigError(f"task must be image or graph, got {self.task!r}")
-        if self.mask_mode not in ("exclude_self", "include_self"):
-            raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
         image = self.task == "image"
         if self.d == _AUTO:
             self.d = 64 if image else 32
@@ -114,7 +113,7 @@ class RunConfig:
         # sizes before the default beta = 1/sqrt(y) divides by one of them
         for name in (
             "d", "h", "y", "m", "f", "channels", "patch_size", "image_size",
-            "batch_size", "n_seeds", "t", "fd_instances", "n_communities",
+            "batch_size", "n_seeds", "t", "fd_instances", "n_communities", "head_hidden",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -126,12 +125,8 @@ class RunConfig:
             self.epochs = 40 if self.task == "image" else 100
         if self.init_std == _AUTO:
             self.init_std = 0.02 if self.task == "image" else 0.1
-        if self.head_hidden == 0:
-            # a small head resists memorizing training labels through the
-            # per-node embeddings on desk-scale graphs
-            self.head_hidden = 16
         for name in (
-            "epochs", "max_steps", "weight_decay", "alpha", "head_hidden", "warmup_steps",
+            "epochs", "max_steps", "weight_decay", "alpha", "warmup_steps",
         ):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -189,9 +184,7 @@ class RunConfig:
     def image_mask_mode(self):
         from .core import ExcludeSelf, IncludeSelf
 
-        if self.allow_self_attention or self.mask_mode == "include_self":
-            return IncludeSelf()
-        return ExcludeSelf()
+        return IncludeSelf() if self.allow_self_attention else ExcludeSelf()
 
 
 def _field_parser(f):

@@ -412,10 +412,7 @@ def hopfield_update_of(g, xi, activation: Activation):
 # Attention energy and its exact gradient
 
 def _attention_mask(g: Array, a: AttentionParams) -> Array:
-    n = g.shape[-2]
-    if isinstance(a.mask_mode, ExcludeSelf) and n < 2:
-        raise DegenerateMaskError("self-exclusive attention needs at least 2 tokens")
-    return mask_matrix(a.mask_mode, n)
+    return mask_matrix(a.mask_mode, g.shape[-2])
 
 
 def attention_energy(g: Array, a: AttentionParams) -> float:

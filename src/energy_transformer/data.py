@@ -53,7 +53,6 @@ def gen_synthetic_images(
     *,
     size: int = 32,
     channels: int = 1,
-    kinds: tuple[str, ...] = ("stripes", "gradient", "rectangles"),
 ) -> Array:
     """Deterministic set of procedural images, shape (n, channels, size, size).
 
@@ -68,7 +67,7 @@ def gen_synthetic_images(
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / size
     out = np.empty((n, channels, size, size))
     for i in range(n):
-        kind = kinds[rng.integers(len(kinds))]
+        kind = ("stripes", "gradient", "rectangles")[rng.integers(3)]
         if kind == "stripes":
             # discrete orientations/frequencies keep the patch vocabulary small
             theta = rng.integers(4) * (np.pi / 4.0)
@@ -203,9 +202,16 @@ def write_manifest(path, names: list[str]) -> None:
 
 
 def read_manifest(path) -> list[str]:
-    """One relative path per line; blank lines and '#' comments ignored."""
+    """One relative path per line; blank lines and '#' comments ignored.
+
+    Text that is not UTF-8 raises FormatError.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(line)

@@ -144,7 +144,6 @@ class GraphTaskParams:
     head_b2: Array        # (1,)
     alpha: float
     n_steps: int
-    beta_learnable: bool = True
 
     def __post_init__(self):
         d = self.et.dim
@@ -172,7 +171,6 @@ def init_graph_params(
     include_self: bool = False,
     enable_attn: bool = True,
     enable_hopfield: bool = True,
-    beta_learnable: bool = True,
     activation=None,
     rng: np.random.Generator | None = None,
     init_std: float = 0.02,
@@ -202,7 +200,6 @@ def init_graph_params(
         head_b2=np.zeros(1),
         alpha=alpha,
         n_steps=n_steps,
-        beta_learnable=beta_learnable,
     )
 
 
@@ -293,12 +290,12 @@ def weighted_bce(probs: Array, labels: Array, train_idx: Array) -> float:
     return float(-(sigma * (lt * np.log(pt)).sum() + ((1.0 - lt) * np.log(1.0 - pt)).sum()))
 
 
-def macro_f1(probs: Array, labels: Array, threshold: float = 0.5) -> float:
-    """Unweighted mean of the per-class F1 scores at the given threshold."""
+def macro_f1(probs: Array, labels: Array) -> float:
+    """Unweighted mean of the per-class F1 scores, predicting 1 at probs >= 0.5."""
     labels = np.asarray(labels)
     if len(np.unique(labels)) < 2:
         raise MetricUndefinedError("macro-F1 needs both classes present")
-    preds = np.asarray(probs) >= threshold
+    preds = np.asarray(probs) >= 0.5
     scores = []
     for cls in (0, 1):
         tp = int(((preds == cls) & (labels == cls)).sum())
@@ -311,16 +308,9 @@ def macro_f1(probs: Array, labels: Array, threshold: float = 0.5) -> float:
 
 def _midranks(values: Array) -> Array:
     """1-based ranks with ties assigned the mean of their rank range."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of each distinct value's last copy
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def auc(probs: Array, labels: Array) -> float:
@@ -355,8 +345,7 @@ def graph_loss_fn(
     x = ad.matmul(feats, pv["embed.kernel"]) + pv["pos_embed"]
     gamma, delta, epsilon = pv["et.norm.gamma"], pv["et.norm.delta"], spec.et.norm.epsilon
     g1 = layer_norm_of(x, gamma, delta, epsilon)
-    beta = pv["et.attn.beta"] if spec.beta_learnable else spec.et.attn.beta
-    x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha, beta)
+    x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha, pv["et.attn.beta"])
     g_final = layer_norm_of(x, gamma, delta, epsilon)
     gf = ad.concat([g1, g_final], axis=-1)
     h1 = ad.relu(ad.matmul(gf, pv["head.w1"]) + pv["head.b1"])

@@ -3,7 +3,7 @@ the training step both tasks take with it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,19 +89,7 @@ def adam_step(
         new_params[name] = p_new
         new_m[name] = m
         new_v[name] = v
-    new_state = AdamState(
-        m=new_m,
-        v=new_v,
-        step=t,
-        lr=state.lr,
-        b1=state.b1,
-        b2=state.b2,
-        weight_decay=state.weight_decay,
-        grad_clip=state.grad_clip,
-        eps=state.eps,
-        decay_exempt=state.decay_exempt,
-    )
-    return new_params, new_state
+    return new_params, replace(state, m=new_m, v=new_v, step=t)
 
 
 @dataclass

@@ -14,9 +14,7 @@ from __future__ import annotations
 from .autodiff import Var
 from .core import (
     EtParams,
-    attention_energy_of,
     attention_update_of,
-    hopfield_energy_of,
     hopfield_update_of,
     layer_norm_of,
     mask_matrix,
@@ -48,16 +46,3 @@ def et_unroll_v(x: Var, pv: dict[str, Var], et: EtParams, n_steps: int, alpha: f
     for _ in range(n_steps):
         x = et_step_v(x, pv, et, alpha, beta)
     return x
-
-
-def total_energy_v(x: Var, pv: dict[str, Var], et: EtParams) -> Var:
-    """Taped scalar total energy, for losses defined directly on the energy."""
-    g = layer_norm_of(x, pv["et.norm.gamma"], pv["et.norm.delta"], et.norm.epsilon)
-    parts = []
-    if et.enable_attn:
-        mask = mask_matrix(et.attn.mask_mode, x.shape[-2])
-        w_key, w_query = pv["et.attn.w_key"], pv["et.attn.w_query"]
-        parts.append(attention_energy_of(g, w_key, w_query, et.attn.beta, mask))
-    if et.enable_hopfield:
-        parts.append(hopfield_energy_of(g, pv["et.hopfield.xi"], et.hopfield.activation))
-    return sum(parts[1:], parts[0])

@@ -8,7 +8,7 @@ from energy_transformer import autodiff as ad
 from energy_transformer import core
 from energy_transformer.errors import DivergenceError, TapeError
 from energy_transformer.optim import AdamState, adam_step, clip_by_global_norm, global_norm
-from energy_transformer.unroll import et_step_v, total_energy_v
+from energy_transformer.unroll import et_step_v
 
 
 def rel(a, b):
@@ -186,7 +186,7 @@ class TestRecordForward:
         )
         x = rng.normal(0, 1, (4, d))
         loss, _ = ad.record_forward(
-            lambda tape, pv: total_energy_v(tape.constant(x), pv, p), _block_tensors(p)
+            lambda tape, pv: _energy_v(tape.constant(x), pv, p), _block_tensors(p)
         )
         assert loss == core.total_energy(x, p).e_total
 
@@ -269,6 +269,19 @@ def _block_tensors(et):
     }
 
 
+def _energy_v(x, pv, et):
+    """The block's total energy at Var x, composed from core's energy terms
+    the way core.total_energy composes them."""
+    g = core.layer_norm_of(x, pv["et.norm.gamma"], pv["et.norm.delta"], et.norm.epsilon)
+    mask = core.mask_matrix(et.attn.mask_mode, x.shape[-2])
+    w_key, w_query = pv["et.attn.w_key"], pv["et.attn.w_query"]
+    e_att = core.attention_energy_of(g, w_key, w_query, et.attn.beta, mask)
+    e_hn = core.hopfield_energy_of(g, pv["et.hopfield.xi"], et.hopfield.activation)
+    if not et.enable_attn:
+        return e_hn
+    return e_att + e_hn if et.enable_hopfield else e_att
+
+
 def _taped(build, x, et, **kwargs):
     tape = ad.Tape()
     pv = {name: tape.param(name, v) for name, v in _block_tensors(et).items()}
@@ -288,7 +301,7 @@ class TestCoreTapeBitIdentity:
         stepped = _taped(_tape_step, x, et, alpha=alpha, beta_var=beta_var)
         for i in np.ndindex(lead):
             assert np.array_equal(stepped[i], core.et_step(x[i], et, alpha)), i
-            energy = _taped(total_energy_v, x[i], et)
+            energy = _taped(_energy_v, x[i], et)
             assert energy == core.total_energy(x[i], et).e_total, i
 
     @pytest.mark.parametrize("beta_var", [False, True], ids=["beta_float", "beta_var"])

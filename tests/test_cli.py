@@ -1,8 +1,9 @@
 """Config parsing and the command-line surface (exit codes, files, determinism)."""
 
-import os
+import re
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from energy_transformer import graph as gr
 from energy_transformer import image as im
 from energy_transformer.cli import main
 from energy_transformer.config import RunConfig, format_resolved, load_config, parse_config_text
+from energy_transformer.core import ExcludeSelf, IncludeSelf
 from energy_transformer.data import gen_synthetic_images, load_netpbm, save_image_dataset
 from energy_transformer.errors import ConfigError
 
@@ -60,6 +62,25 @@ class TestConfigParsing:
         text = format_resolved(cfg)
         cfg2 = RunConfig(**parse_config_text(text))
         assert format_resolved(cfg2) == text
+
+    def test_readme_key_table_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| group | keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        keys = re.findall(r"[a-z_0-9]+", " ".join(re.findall(r"`([^`]*)`", table)))
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+    @pytest.mark.parametrize("allow", [False, True], ids=["off", "on"])
+    def test_allow_self_attention_switches_both_tasks(self, allow):
+        from energy_transformer.cli import _graph_init_kwargs, _image_params_template, _load_graph
+
+        image = RunConfig(**parse_config_text(IMAGE_CFG), allow_self_attention=allow)
+        mode = _image_params_template(image).et.attn.mask_mode
+        assert mode == (IncludeSelf() if allow else ExcludeSelf())
+        graph = RunConfig(**parse_config_text(GRAPH_CFG), allow_self_attention=allow)
+        g = _load_graph(graph)
+        adjacency = gr.init_graph_params(g, **_graph_init_kwargs(graph)).et.attn.mask_mode.adjacency
+        assert adjacency.diagonal().all() == allow
+        np.testing.assert_array_equal(adjacency, gr.adjacency_matrix(g, include_self=allow))
 
     def test_activation_specs(self):
         from energy_transformer.core import Power, Relu, Softmax
@@ -308,15 +329,20 @@ class TestCliVerifyGrad:
         assert "hopfield_grad" in out and "attention_grad" in out
         assert "ok" in out
 
-    def test_corrupted_gradient_fails_naming_tensor(self, tmp_path, capsys):
+    def test_corrupted_gradient_fails_naming_tensor(self, tmp_path, capsys, monkeypatch):
+        from energy_transformer import autodiff as ad
+
+        backward = ad.backward
+
+        def corrupted(tape):
+            grads = backward(tape)
+            return {**grads, "et.attn.w_query": grads["et.attn.w_query"] + 1.0}
+
+        monkeypatch.setattr(ad, "backward", corrupted)
         cfg = write_cfg(tmp_path, "fd_instances=4\n")
-        os.environ["ET_CORRUPT_GRAD"] = "image/et.attn.w_query"
-        try:
-            assert main(["verify-grad", "--config", cfg]) == 1
-        finally:
-            del os.environ["ET_CORRUPT_GRAD"]
-        captured = capsys.readouterr()
-        assert "et.attn.w_query" in captured.err
+        assert main(["verify-grad", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "image/et.attn.w_query" in err and "graph/et.attn.w_query" in err
 
     def test_impossible_tolerance_fails(self, tmp_path):
         cfg = write_cfg(tmp_path, "fd_instances=3\ntolerance=1e-300\n")
@@ -334,6 +360,11 @@ class TestCliErrors:
     def test_missing_checkpoint_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG)
         assert main(["eval", "--config", cfg]) == 2
+
+    def test_mask_mode_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IMAGE_CFG + "mask_mode=include_self\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "unknown key 'mask_mode'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, cfg_text",
@@ -398,6 +429,7 @@ class TestCliErrors:
             GRAPH_CFG + "init_std=-1\n",
             GRAPH_CFG + "init_std=nan\n",
             GRAPH_CFG + "head_hidden=-3\n",
+            GRAPH_CFG + "head_hidden=0\n",
             GRAPH_CFG + "p_in=1.5\n",
             GRAPH_CFG + "p_out=-0.1\n",
             GRAPH_CFG + "b1=1\n",
@@ -410,6 +442,7 @@ class TestCliErrors:
             "graph_weight_decay", "grad_clip", "train_ratio_above_1", "train_ratio_0",
             "anomaly_rate_above_half", "anomaly_rate_0", "communities_above_f",
             "n_communities_0", "init_std_negative", "init_std_nan", "head_hidden_negative",
+            "head_hidden_0",
             "p_in_above_1", "p_out_negative", "b1_1", "b2_above_1", "warmup_steps_negative",
         ],
     )
@@ -527,10 +560,12 @@ class TestBadInputFilesExit2:
             ("img_00000.pgm.meta", b"lo=nan\nhi=1.0\n"),
             ("img_00000.pgm.meta", b"lo=0.0\nhi=inf\n"),
             ("img_00000.pgm.meta", b"lo=-1e308\nhi=1e308\n"),
+            ("manifest.txt", b"img_00000.pgm\n\xff\n"),
         ],
         ids=[
             "dims_negative", "dims_zero", "sidecar_no_equals", "sidecar_no_lo",
             "sidecar_no_hi", "sidecar_lo_nan", "sidecar_hi_inf", "sidecar_span_inf",
+            "manifest_not_utf8",
         ],
     )
     def test_netpbm(self, tmp_path, capsys, name, content):
@@ -540,6 +575,29 @@ class TestBadInputFilesExit2:
         cfg = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={d}\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "cfg_text, commands, tensor",
+        [
+            (IMAGE_CFG, ("eval", "dump-energy", "export-weights"), "enc.kernel"),
+            (GRAPH_CFG, ("eval", "dump-energy"), "embed.kernel"),
+        ],
+        ids=["image", "graph"],
+    )
+    def test_checkpoint_that_does_not_fit_config(
+        self, tmp_path, capsys, cfg_text, commands, tensor
+    ):
+        train_cfg = write_cfg(tmp_path, cfg_text + "epochs=0\n")
+        assert main(["train", "--config", train_cfg, "--out", str(tmp_path / "run")]) == 0
+        ck = str(tmp_path / "run" / "checkpoint.bin")
+        cfg = write_cfg(tmp_path, cfg_text + "d=5\n")
+        capsys.readouterr()
+        for command in commands:
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--checkpoint", ck, "--out", out]) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error:") and len(err.splitlines()) == 1, err
+            assert ck in err and f"tensor {tensor!r}" in err, err
 
     @pytest.mark.parametrize(
         "name, dims",

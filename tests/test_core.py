@@ -580,6 +580,22 @@ class TestDescentCertificate:
             q = core.descent_quadratic_forms(x, p)
             assert (q >= -1e-10).all()
 
+    def test_descent_check_counts_no_step_and_propagates_bugs(self, monkeypatch):
+        from energy_transformer.checks import check_energy_descent
+
+        def no_step(*args):
+            raise InvalidInputError("no monotone step size found")
+
+        monkeypatch.setattr(core, "find_monotone_alpha", no_step)
+        assert check_energy_descent(n_instances=2) == (0, 0)
+
+        def bug(*args):
+            raise TypeError("bug in the dynamics")
+
+        monkeypatch.setattr(core, "find_monotone_alpha", bug)
+        with pytest.raises(TypeError, match="bug in the dynamics"):
+            check_energy_descent(n_instances=2)
+
 
 # ---------------------------------------------------------------------------
 # Masked softmax / log-sum-exp kernels against the dense formula

@@ -293,6 +293,25 @@ class TestMetrics:
             expected = wins / (len(pos) * len(neg))
             npt.assert_allclose(gr.auc(probs, labels), expected, rtol=1e-12)
 
+    def test_midranks_match_loop_oracle_on_ties(self):
+        def oracle(values):  # sequential scan over the sorted values
+            order = np.argsort(values, kind="mergesort")
+            ranks = np.empty(values.size, dtype=np.float64)
+            i = 0
+            while i < values.size:
+                j = i
+                while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(4)
+        cases = [np.zeros(9), np.arange(6.0)[::-1], np.array([0.5])]
+        cases += [rng.integers(0, k, n) / k for k in (2, 3, 5) for n in (2, 17, 200)]
+        for values in cases:
+            assert np.array_equal(gr._midranks(values), oracle(values)), values
+
     def test_macro_f1_matches_confusion_matrix(self):
         probs = np.array([0.9, 0.6, 0.4, 0.8, 0.2, 0.3])
         labels = np.array([1, 0, 1, 1, 0, 0])
@@ -448,7 +467,6 @@ class TestGraphBptt:
         with pytest.warns(UserWarning, match="forcing self-loops on 2"):
             p = tiny_graph_params(g, seed=1, beta=0.7, alpha=0.5, n_steps=2)
         mask = p.et.attn.mask_mode.adjacency
-        assert p.beta_learnable
         assert _kernels._allowed_entries(np.zeros((2, 24, 24)), mask) is not None
         train = np.arange(0, 24, 2)
         tensors = gr.graph_params_to_tensors(p)
