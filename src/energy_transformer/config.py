@@ -151,6 +151,7 @@ class RunConfig:
             raise ConfigError(
                 f"n_communities ({self.n_communities}) must be <= f ({self.f})"
             )
+        self.activation()  # parses and range-checks hn_activation
         if image and not (0 <= self.n_replaced <= self.n_occluded <= self.n_tokens):
             raise ConfigError(
                 f"need 0 <= n_replaced ({self.n_replaced}) <= n_occluded "
@@ -173,12 +174,16 @@ class RunConfig:
         from .core import Power, Relu, Softmax
 
         spec = self.hn_activation
-        if spec == "relu":
-            return Relu()
-        if spec.startswith("power:"):
-            return Power(int(spec.split(":", 1)[1]))
-        if spec.startswith("softmax:"):
-            return Softmax(float(spec.split(":", 1)[1]))
+        name, _, arg = spec.partition(":")
+        try:
+            if spec == "relu":
+                return Relu()
+            if name == "power":
+                return Power(int(arg))
+            if name == "softmax":
+                return Softmax(float(arg))
+        except ValueError as exc:  # a bad number, or one out of range
+            raise ConfigError(f"bad hn_activation {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown hn_activation {spec!r}")
 
     def image_mask_mode(self):

@@ -19,6 +19,12 @@ written once on raw tensors: float64 numpy arrays for inference, or tape
 `Var`s, on which the same code records the training pass (see `unroll`).
 The public functions that take parameter objects check their inputs and
 run that math on arrays.
+
+Attention sees its key and query weights only through K . Q = g^T A_h g,
+with one (D, D) form A_h = wq_h^T wk_h per head.  `scores_of` picks the
+basis by shape: when Y > D it runs the N x N products over D, not Y
+(graph outputs move at round-off); otherwise it keeps the per-head keys and
+queries, and image outputs keep their bytes.
 """
 
 from __future__ import annotations
@@ -129,8 +135,8 @@ class Softmax:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise InvalidInputError("softmax activation requires beta > 0")
+        if not (0 < self.beta < np.inf):
+            raise InvalidInputError("softmax activation requires finite beta > 0")
 
 
 Activation = Relu | Power | Softmax
@@ -355,28 +361,41 @@ def layer_norm_of(x, gamma, delta, epsilon: float):
 
 
 def scores_of(g, w_key, w_query, beta):
-    """(H, Y, D) projections wk, wq; keys, queries (..., H, N, Y); beta Q K^T."""
+    """Scores beta K_B . Q_C, (..., H, N, N), and the update's two terms.
+
+    Keys and queries meet only in K_B . Q_C = g_C^T A_h g_B, where
+    A_h = wq_h^T wk_h is one (D, D) form per head.  When Y > D (the graph
+    task) every N x N product runs over D: the scores are (g beta A_h) g^T
+    and the terms of softmax weights w are w (g A_h^T) and w^T (g A_h), at
+    3N^2 D + 3N D^2 + Y D^2 multiply-adds per head against 3N^2 Y + 4N D Y
+    with keys and queries of width Y, which Y <= D (the image task) keeps.
+    The two bases agree up to round-off.  Returns (scores, term_from,
+    term_to); each term maps w to its (..., H, N, D) half of -dE/dg.
+    """
+    gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])  # broadcasts over heads
+    if w_key.shape[0] > w_key.shape[2]:
+        a = w_query.transpose(1, 2, 0) @ w_key.transpose(1, 0, 2)  # (H, D, D)
+        scores = (gh @ (beta * a)) @ gh.swapaxes(-1, -2)
+        return scores, lambda w: w @ (gh @ a.swapaxes(-1, -2)), lambda w: w.swapaxes(-1, -2) @ (gh @ a)
     wk = w_key.transpose(1, 0, 2)
     wq = w_query.transpose(1, 0, 2)
-    gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])  # broadcasts over heads
     k = gh @ wk.transpose(0, 2, 1)
     q = gh @ wq.transpose(0, 2, 1)
-    return wk, wq, k, q, beta * (q @ k.swapaxes(-1, -2))
+    scores = beta * (q @ k.swapaxes(-1, -2))
+    return scores, lambda w: (w @ k) @ wq, lambda w: (w.swapaxes(-1, -2) @ q) @ wk
 
 
 def attention_energy_of(g, w_key, w_query, beta, mask):
     """-(1/beta) * sum over heads and tokens of the masked log-sum-exp."""
-    *_, scores = scores_of(g, w_key, w_query, beta)
+    scores, *_ = scores_of(g, w_key, w_query, beta)
     return (-1.0 / beta) * _ops(g).masked_logsumexp(scores, mask).sum()
 
 
 def attention_update_of(g, w_key, w_query, beta, mask):
     """-dE/dg of the attention energy: the "from" plus the "to" term."""
-    wk, wq, k, q, scores = scores_of(g, w_key, w_query, beta)
+    scores, term_from, term_to = scores_of(g, w_key, w_query, beta)
     w = _ops(g).masked_softmax(scores, mask)
-    term_from = (w @ k) @ wq  # A as the query
-    term_to = (w.swapaxes(-1, -2) @ q) @ wk  # A as a key
-    return (term_from + term_to).sum(axis=-3)
+    return (term_from(w) + term_to(w)).sum(axis=-3)  # A as the query, A as a key
 
 
 def hopfield_energy_of(g, xi, activation: Activation):
@@ -443,9 +462,8 @@ def attention_grad(g: Array, a: AttentionParams) -> Array:
 def attention_from_term(g: Array, a: AttentionParams) -> Array:
     """Only the conventional-attention half of `attention_grad`."""
     g = _check_finite(g, "attention input")
-    _, wq, k, _, scores = scores_of(g, a.w_key, a.w_query, a.beta)
-    w = _kernels.masked_softmax(scores, _attention_mask(g, a))
-    return ((w @ k) @ wq).sum(axis=-3)
+    scores, term_from, _ = scores_of(g, a.w_key, a.w_query, a.beta)
+    return term_from(_kernels.masked_softmax(scores, _attention_mask(g, a))).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------

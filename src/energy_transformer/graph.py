@@ -167,7 +167,7 @@ def init_graph_params(
     beta: float,
     alpha: float,
     n_steps: int,
-    hidden: int | None = None,
+    hidden: int,
     include_self: bool = False,
     enable_attn: bool = True,
     enable_hopfield: bool = True,
@@ -176,7 +176,6 @@ def init_graph_params(
     init_std: float = 0.02,
 ) -> GraphTaskParams:
     rng = rng or np.random.default_rng(0)
-    hidden = hidden or d
     et = init_et_params(
         rng,
         d=d,

@@ -232,14 +232,14 @@ class TestRecordForward:
             tape.param("w", np.ones(2))
 
 
-def _block(activation, mask_mode, *, enable_attn=True, enable_hopfield=True):
+def _block(activation, mask_mode, *, enable_attn=True, enable_hopfield=True, y=3):
     rng = np.random.default_rng(11)
     d = 5
     return core.EtParams(
         norm=core.LayerNormParams(gamma=1.3, delta=rng.normal(0, 0.1, d)),
         attn=core.AttentionParams(
-            w_key=rng.normal(0, 0.5, (3, 2, d)),
-            w_query=rng.normal(0, 0.5, (3, 2, d)),
+            w_key=rng.normal(0, 0.5, (y, 2, d)),
+            w_query=rng.normal(0, 0.5, (y, 2, d)),
             beta=0.7,
             mask_mode=mask_mode,
         ),
@@ -330,6 +330,17 @@ class TestCoreTapeBitIdentity:
             enable_hopfield=enable[1],
         )
         self.check(et, (3,), beta_var=False)
+
+    @pytest.mark.parametrize("beta_var", [False, True], ids=["beta_float", "beta_var"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batch3"])
+    @pytest.mark.parametrize(
+        "mask_mode",
+        [core.ExcludeSelf(), core.IncludeSelf(), _random_neighborhood(6)],
+        ids=["exclude_self", "include_self", "neighborhood"],
+    )
+    def test_token_basis_step_and_energy(self, mask_mode, lead, beta_var):
+        """Y > D: attention runs its N x N products in the token width."""
+        self.check(_block(core.Relu(), mask_mode, y=8), lead, beta_var)
 
 
 class TestReplay:

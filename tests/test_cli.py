@@ -451,6 +451,17 @@ class TestCliErrors:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize(
+        "spec", ["power:x", "power:1", "softmax:-1", "softmax:nan", "softmax:inf", "tanh"]
+    )
+    def test_bad_hn_activation_exits_2_before_writing(self, tmp_path, capsys, spec):
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"hn_activation={spec}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert repr(spec) in err
+        assert not (tmp_path / "r").exists()
+
     def test_more_replaced_than_occluded_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IMAGE_CFG + "n_occluded=2\nn_replaced=3\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2

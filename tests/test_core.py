@@ -598,6 +598,86 @@ class TestDescentCertificate:
 
 
 # ---------------------------------------------------------------------------
+# Attention in the token basis (Y > D) against the head basis
+
+def head_basis_attention(g, a):
+    """Energy and -dE/dg with keys and queries of width Y per head, on the
+    dense masked formulas."""
+    mask = core.mask_matrix(a.mask_mode, g.shape[-2])
+    k = np.einsum("yhd,...nd->...hny", a.w_key, g)
+    q = np.einsum("yhd,...nd->...hny", a.w_query, g)
+    scores = a.beta * np.einsum("...cy,...by->...cb", q, k)
+    energy = -dense_masked_logsumexp(scores, mask).sum() / a.beta
+    w = dense_masked_softmax(scores, mask)
+    term_from = np.einsum("...hcb,...hby,yhd->...cd", w, k, a.w_query)
+    term_to = np.einsum("...hcb,...hcy,yhd->...bd", w, q, a.w_key)
+    return energy, term_from + term_to
+
+
+def token_basis_params(kind, n, rng, y=7, d=3, h=2):
+    if kind == "sparse_graph":
+        mode = GraphNeighborhood(random_adjacency(n, 0.2, rng))
+    else:
+        mode = random_mask(kind, n, rng)
+    return AttentionParams(
+        w_key=rng.normal(0, 0.6, (y, h, d)),
+        w_query=rng.normal(0, 0.6, (y, h, d)),
+        beta=float(rng.uniform(0.3, 1.2)),
+        mask_mode=mode,
+    )
+
+
+class TestTokenBasis:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batch"])
+    @pytest.mark.parametrize("kind", ["exclude", "include", "sparse_graph"])
+    def test_matches_head_basis(self, kind, lead):
+        rng = np.random.default_rng(31)
+        n = 12
+        for _ in range(4):
+            a = token_basis_params(kind, n, rng)
+            g = rng.normal(0, 1, lead + (n, 3))
+            energy, grad = head_basis_attention(g, a)
+            npt.assert_allclose(core.attention_energy(g, a), energy, rtol=1e-12)
+            npt.assert_allclose(core.attention_grad(g, a), grad, rtol=1e-12, atol=1e-13)
+            if kind == "sparse_graph":
+                mask = a.mask_mode.adjacency
+                assert _kernels._allowed_entries(np.zeros((2, n, n)), mask) is not None
+
+    @pytest.mark.parametrize("kind", ["exclude", "include", "graph"])
+    def test_matches_finite_differences(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            n = int(rng.integers(2, 7))
+            a = token_basis_params(kind, n, rng, y=6)
+            g = rng.normal(0, 1, (n, 3))
+            fd = finite_diff(lambda gg: core.attention_energy(gg, a), g)
+            an = core.attention_grad(g, a)
+            assert np.linalg.norm(an + fd) / np.linalg.norm(fd) < 1e-6
+
+    @pytest.mark.parametrize("y, d", [(3, 5), (4, 4)], ids=["y_below_d", "y_equals_d"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batch"])
+    def test_head_basis_keeps_its_bits(self, y, d, lead):
+        """Y <= D runs the per-head key and query products in this order."""
+        rng = np.random.default_rng(5)
+        n = 6
+        for kind in ("exclude", "include", "graph"):
+            a = token_basis_params(kind, n, rng, y=y, d=d)
+            g = rng.normal(0, 1, lead + (n, d))
+            mask = core.mask_matrix(a.mask_mode, n)
+            wk = a.w_key.transpose(1, 0, 2)
+            wq = a.w_query.transpose(1, 0, 2)
+            gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])
+            k = gh @ wk.transpose(0, 2, 1)
+            q = gh @ wq.transpose(0, 2, 1)
+            scores = a.beta * (q @ k.swapaxes(-1, -2))
+            energy = (-1.0 / a.beta) * _kernels.masked_logsumexp(scores, mask).sum()
+            w = _kernels.masked_softmax(scores, mask)
+            grad = ((w @ k) @ wq + (w.swapaxes(-1, -2) @ q) @ wk).sum(axis=-3)
+            assert core.attention_energy(g, a) == float(energy)
+            assert np.array_equal(core.attention_grad(g, a), grad)
+
+
+# ---------------------------------------------------------------------------
 # Masked softmax / log-sum-exp kernels against the dense formula
 
 def dense_masked_softmax(scores, mask):
