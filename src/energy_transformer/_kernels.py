@@ -134,6 +134,19 @@ def masked_softmax(scores: Array, mask: Array | None) -> Array:
     return w
 
 
+def attention_terms(g: Array, a: Array, w: Array) -> Array:
+    """sum_h w_h (g a_h^T) + w_h^T (g a_h): the "from" and "to" terms of
+    attention's -dE/dg, (..., N, D), for tokens g (..., N, D), one (D, D)
+    form per head a (H, D, D) and softmax weights w (..., H, N, N).
+
+    Every N x N product runs feature-major, (D, N) by (N, N): the result is
+    the transpose of sum_h (a_h g^T) w_h^T + (a_h^T g^T) w_h.
+    """
+    gt = g.swapaxes(-1, -2)[..., None, :, :]
+    out_t = (a @ gt) @ w.swapaxes(-1, -2) + (a.swapaxes(-1, -2) @ gt) @ w
+    return out_t.sum(axis=-3).swapaxes(-1, -2)
+
+
 def stable_sigmoid(x: Array) -> Array:
     """Logistic function computed without overflow in either tail."""
     x = np.asarray(x)

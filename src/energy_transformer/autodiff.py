@@ -1,11 +1,11 @@
 """Reverse-mode differentiation on an explicit tape of primitive ops.
 
 A `Tape` records a computation as a topologically ordered list of primitive
-operations (matmul, add, masked softmax, ...), each node saving its forward
-value.  `backward` walks the tape once in reverse and returns exact
-gradients of the recorded scalar with respect to every named parameter.
-`replay` re-executes the forward pass from the records and checks that it
-reproduces the saved values bit-exactly.
+operations (matmul, add, masked softmax, attention terms, ...), each node
+saving its forward value.  `backward` walks the tape once in reverse and
+returns exact gradients of the recorded scalar with respect to every named
+parameter.  `replay` re-executes the forward pass from the records and
+checks that it reproduces the saved values bit-exactly.
 
 The primitive set is closed: model code must be composed from the functions
 in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
@@ -15,8 +15,14 @@ runs it on arrays for inference and on Vars for training.  Every
 primitive's forward calls the same numpy kernels as the analytic inference
 path, so recorded values agree with direct evaluation to the last bit.
 Gradients are exact up to round-off: the masked-softmax VJP on a sparse
-mask and the gradient of a 0-d factor in `mul` sum in a different order
-than the dense formulas they replace.
+mask, the gradient of a 0-d factor in `mul` and the `attention_terms` VJP
+sum in a different order than the composed formulas they replace.
+
+`attention_terms(g, a, w)` records attention's "from" and "to" terms in
+the token basis, sum_h w_h (g a_h^T) + w_h^T (g a_h), as one node.  Its
+VJP builds each head's weight gradient G v_h^T + u_h G^T (v_h = g a_h^T,
+u_h = g a_h) as one GEMM of inner width 2D, [G, u_h] [v_h, G]^T, and runs
+every N x N product feature-major, (D, N) by (N, N).
 
 `finite_diff` is the independent central-difference oracle used by the
 verification suite; it never touches the tape machinery.
@@ -247,6 +253,25 @@ def _rsqrt_normalize():
 def _masked_softmax():
     fwd = lambda ins, meta: K.masked_softmax(ins[0], meta["mask"])
     bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"])]
+    return fwd, bwd
+
+
+@_op("attention_terms")
+def _attention_terms():
+    fwd = lambda ins, meta: K.attention_terms(*ins)
+
+    def bwd(grad, ins, out, meta):
+        g, a, w = ins
+        gt = g.swapaxes(-1, -2)[..., None, :, :]
+        vt, ut = a @ gt, a.swapaxes(-1, -2) @ gt  # v_h^T, u_h^T: (..., H, D, N)
+        grad_t = np.broadcast_to(grad.swapaxes(-1, -2)[..., None, :, :], vt.shape)
+        # dw_h = G v_h^T + u_h G^T = [G, u_h] [v_h, G]^T: one GEMM of inner width 2D
+        gw = np.concatenate([grad_t, ut], -2).swapaxes(-1, -2) @ np.concatenate([vt, grad_t], -2)
+        dut, dvt = grad_t @ w.swapaxes(-1, -2), grad_t @ w  # du_h^T, dv_h^T
+        gg = (a @ dut + a.swapaxes(-1, -2) @ dvt).sum(axis=-3).swapaxes(-1, -2)
+        ga = gt @ dut.swapaxes(-1, -2) + dvt @ g[..., None, :, :]
+        return [gg, _unbroadcast(ga, a.shape), gw]
+
     return fwd, bwd
 
 
@@ -502,6 +527,11 @@ def rsqrt_normalize(a: Var, epsilon: float) -> Var:
 
 def masked_softmax(a: Var, mask: Array | None) -> Var:
     return a.tape._push("masked_softmax", (a,), {"mask": mask})
+
+
+def attention_terms(g: Var, a: Var, w: Var) -> Var:
+    """Attention's "from" plus "to" term (see `_kernels.attention_terms`)."""
+    return g.tape._push("attention_terms", (g, a, w), {})
 
 
 def masked_logsumexp(a: Var, mask: Array | None) -> Var:

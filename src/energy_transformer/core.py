@@ -22,9 +22,11 @@ run that math on arrays.
 
 Attention sees its key and query weights only through K . Q = g^T A_h g,
 with one (D, D) form A_h = wq_h^T wk_h per head.  `scores_of` picks the
-basis by shape: when Y > D it runs the N x N products over D, not Y
-(graph outputs move at round-off); otherwise it keeps the per-head keys and
-queries, and image outputs keep their bytes.
+basis by shape: when Y > D it runs the N x N products over D, not Y, and
+applies the update's "from" and "to" terms in one `attention_terms` kernel
+(one tape primitive with a hand-written VJP); graph outputs move at
+round-off.  Otherwise it keeps the per-head keys and queries, and image
+outputs keep their bytes.
 """
 
 from __future__ import annotations
@@ -191,8 +193,10 @@ class AttentionParams:
             raise ShapeError(
                 f"w_key {self.w_key.shape} and w_query {self.w_query.shape} differ"
             )
-        if not (self.beta > 0):
-            raise InvalidInputError("beta must be > 0")
+        if not (np.isfinite(self.w_key).all() and np.isfinite(self.w_query).all()):
+            raise InvalidInputError("key and query weights must be finite")
+        if not (0 < self.beta < np.inf):
+            raise InvalidInputError("beta must be finite and > 0")
 
     @property
     def dim(self) -> int:
@@ -361,28 +365,34 @@ def layer_norm_of(x, gamma, delta, epsilon: float):
 
 
 def scores_of(g, w_key, w_query, beta):
-    """Scores beta K_B . Q_C, (..., H, N, N), and the update's two terms.
+    """Scores beta K_B . Q_C, (..., H, N, N), and maps from softmax weights
+    w to the "from" term, (..., H, N, D), and to -dE/dg, (..., N, D).
 
     Keys and queries meet only in K_B . Q_C = g_C^T A_h g_B, where
     A_h = wq_h^T wk_h is one (D, D) form per head.  When Y > D (the graph
     task) every N x N product runs over D: the scores are (g beta A_h) g^T
-    and the terms of softmax weights w are w (g A_h^T) and w^T (g A_h), at
-    3N^2 D + 3N D^2 + Y D^2 multiply-adds per head against 3N^2 Y + 4N D Y
-    with keys and queries of width Y, which Y <= D (the image task) keeps.
-    The two bases agree up to round-off.  Returns (scores, term_from,
-    term_to); each term maps w to its (..., H, N, D) half of -dE/dg.
+    and -dE/dg is sum_h w_h (g A_h^T) + w_h^T (g A_h), one
+    `attention_terms` primitive that runs its N x N products feature-major
+    and its weight gradient as one GEMM.  That costs 3N^2 D + 3N D^2 + Y D^2
+    multiply-adds per head against 3N^2 Y + 4N D Y with keys and queries of
+    width Y, which Y <= D (the image task) keeps.  The two bases agree up to
+    round-off.
     """
     gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])  # broadcasts over heads
     if w_key.shape[0] > w_key.shape[2]:
         a = w_query.transpose(1, 2, 0) @ w_key.transpose(1, 0, 2)  # (H, D, D)
         scores = (gh @ (beta * a)) @ gh.swapaxes(-1, -2)
-        return scores, lambda w: w @ (gh @ a.swapaxes(-1, -2)), lambda w: w.swapaxes(-1, -2) @ (gh @ a)
+        term_from = lambda w: w @ (gh @ a.swapaxes(-1, -2))
+        return scores, term_from, lambda w: _ops(g).attention_terms(g, a, w)
     wk = w_key.transpose(1, 0, 2)
     wq = w_query.transpose(1, 0, 2)
     k = gh @ wk.transpose(0, 2, 1)
     q = gh @ wq.transpose(0, 2, 1)
     scores = beta * (q @ k.swapaxes(-1, -2))
-    return scores, lambda w: (w @ k) @ wq, lambda w: (w.swapaxes(-1, -2) @ q) @ wk
+    term_from = lambda w: (w @ k) @ wq
+    term_to = lambda w: (w.swapaxes(-1, -2) @ q) @ wk
+    # A as the query, A as a key
+    return scores, term_from, lambda w: (term_from(w) + term_to(w)).sum(axis=-3)
 
 
 def attention_energy_of(g, w_key, w_query, beta, mask):
@@ -393,9 +403,8 @@ def attention_energy_of(g, w_key, w_query, beta, mask):
 
 def attention_update_of(g, w_key, w_query, beta, mask):
     """-dE/dg of the attention energy: the "from" plus the "to" term."""
-    scores, term_from, term_to = scores_of(g, w_key, w_query, beta)
-    w = _ops(g).masked_softmax(scores, mask)
-    return (term_from(w) + term_to(w)).sum(axis=-3)  # A as the query, A as a key
+    scores, _, update = scores_of(g, w_key, w_query, beta)
+    return update(_ops(g).masked_softmax(scores, mask))
 
 
 def hopfield_energy_of(g, xi, activation: Activation):

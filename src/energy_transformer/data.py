@@ -273,7 +273,8 @@ def save_checkpoint(tensors: dict[str, Array], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, Array]:
-    """Read a checkpoint; malformed, truncated or mismatched data raises FormatError."""
+    """Read a checkpoint; malformed, truncated or mismatched data, or a
+    non-finite value, raises FormatError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise FormatError(f"{path}: not a checkpoint (bad magic)")
@@ -307,6 +308,8 @@ def load_checkpoint(path) -> dict[str, Array]:
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
         except ValueError as exc:  # an empty tensor with a dim numpy cannot index
             raise FormatError(f"{path}: tensor {name!r} has dims {dims}: {exc}") from exc
+        if not np.isfinite(out[name]).all():
+            raise FormatError(f"{path}: tensor {name!r} has non-finite values")
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return out

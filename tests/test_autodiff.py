@@ -4,8 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from energy_transformer import _kernels, core
 from energy_transformer import autodiff as ad
-from energy_transformer import core
+from energy_transformer import graph as gr
+from energy_transformer.checks import _check_tape
+from energy_transformer.data import Rng
 from energy_transformer.errors import DivergenceError, TapeError
 from energy_transformer.optim import AdamState, adam_step, clip_by_global_norm, global_norm
 from energy_transformer.unroll import et_step_v
@@ -343,6 +346,102 @@ class TestCoreTapeBitIdentity:
         self.check(_block(core.Relu(), mask_mode, y=8), lead, beta_var)
 
 
+def _composed_update(g, w_key, w_query, beta, mask):
+    """Token-basis -dE/dg as the separate "from" and "to" matmuls (the form
+    before one primitive applied both); records each product on Vars."""
+    softmax = ad.masked_softmax if isinstance(g, ad.Var) else _kernels.masked_softmax
+    gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])
+    a = w_query.transpose(1, 2, 0) @ w_key.transpose(1, 0, 2)
+    w = softmax((gh @ (beta * a)) @ gh.swapaxes(-1, -2), mask)
+    return (w @ (gh @ a.swapaxes(-1, -2)) + w.swapaxes(-1, -2) @ (gh @ a)).sum(axis=-3)
+
+
+def _allclose(got, want):
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestAttentionTerms:
+    """The token-basis update (Y > D) through the `attention_terms` primitive
+    against the composed matmuls it replaces: equal up to round-off."""
+
+    def record(self, update, et, x, cot, beta_var):
+        mask = core.mask_matrix(et.attn.mask_mode, x.shape[-2])
+
+        def fn(tape, pv):
+            beta = pv["beta"] if beta_var else et.attn.beta
+            out = update(pv["g"], pv["w_key"], pv["w_query"], beta, mask)
+            return ad.sum_(out * tape.constant(cot))
+
+        tensors = {
+            "g": x,
+            "w_key": et.attn.w_key,
+            "w_query": et.attn.w_query,
+            "beta": np.asarray(et.attn.beta),
+        }
+        return ad.record_forward(fn, tensors)[1]
+
+    @pytest.mark.parametrize("beta_var", [False, True], ids=["beta_float", "beta_var"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batch3"])
+    @pytest.mark.parametrize(
+        "mask_mode",
+        [core.ExcludeSelf(), core.IncludeSelf(), _random_neighborhood(6)],
+        ids=["exclude_self", "include_self", "neighborhood"],
+    )
+    def test_forward_and_vjp_match_composed(self, mask_mode, lead, beta_var):
+        et = _block(core.Relu(), mask_mode, y=8)
+        rng = np.random.default_rng(21)
+        x = rng.normal(0, 1, lead + (6, et.dim))
+        cot = rng.normal(0, 1, x.shape)
+        mask = core.mask_matrix(mask_mode, 6)
+        if isinstance(mask_mode, core.GraphNeighborhood):
+            assert _kernels._allowed_entries(np.zeros((2, 6, 6)), mask) is not None
+        a = et.attn
+        _allclose(
+            core.attention_update_of(x, a.w_key, a.w_query, a.beta, mask),
+            _composed_update(x, a.w_key, a.w_query, a.beta, mask),
+        )
+        tape = self.record(core.attention_update_of, et, x, cot, beta_var)
+        assert [n.op for n in tape.nodes].count("attention_terms") == 1
+        got = ad.backward(tape)
+        want = ad.backward(self.record(_composed_update, et, x, cot, beta_var))
+        for name in ("g", "w_key", "w_query") + (("beta",) if beta_var else ()):
+            _allclose(got[name], want[name])
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batch"])
+    def test_primitive_vjp_matches_finite_differences(self, lead):
+        # any weights, not only a softmax's, and a form per head
+        TestPrimitives().check(
+            lambda t, pv: ad.sum_(ad.square(ad.attention_terms(pv["g"], pv["a"], pv["w"]))),
+            {"g": lead + (5, 3), "a": (2, 3, 3), "w": lead + (2, 5, 5)},
+        )
+
+    def test_graph_loss_matches_finite_differences(self):
+        """The full graph-task loss at Y > D against central differences,
+        per tensor at the verification tolerance (A7's check)."""
+        rng = Rng(0).stream("bptt-graph")
+        n = 5
+        g = gr.GraphInstance(
+            n_nodes=n,
+            edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]]),
+            features=rng.normal(0, 1, (n, 3)),
+            labels=np.array([0, 1, 0, 0, 1]),
+        )
+        params = gr.init_graph_params(
+            g, d=3, h=2, y=6, m=3, beta=0.9, alpha=0.2, n_steps=2, hidden=4,
+            rng=rng, init_std=0.5,
+        )
+        data = (g, np.array([0, 1, 2, 4]))
+        _, tape = ad.record_forward(
+            gr.graph_loss_fn, gr.graph_params_to_tensors(params), *data, params
+        )
+        assert [node.op for node in tape.nodes].count("attention_terms") == 2
+        reports = _check_tape(
+            "graph", gr.graph_loss_fn, gr.GRAPH_TENSORS, params, data, 1e-6, 0, 1e-5
+        )
+        assert len(reports) == len(gr.GRAPH_TENSORS)
+        assert all(r.passed for r in reports), [(r.name, r.worst_rel_err) for r in reports]
+
+
 class TestReplay:
     def test_replay_reproduces_values(self):
         rng = np.random.default_rng(3)
@@ -362,6 +461,17 @@ class TestReplay:
             return ad.sum_(ad.square(et_step_v(tape.constant(x), pv, p, 0.1)))
 
         _, tape = ad.record_forward(fn, _block_tensors(p))
+        assert ad.replay(tape) > 10
+
+    def test_replay_token_basis_step(self):
+        et = _block(core.Relu(), _random_neighborhood(6), y=8)
+        x = np.random.default_rng(3).normal(0, 1, (2, 6, et.dim))
+
+        def fn(tape, pv):
+            return ad.sum_(ad.square(_tape_step(tape.constant(x), pv, et, 0.1, True)))
+
+        _, tape = ad.record_forward(fn, _block_tensors(et))
+        assert "attention_terms" in [n.op for n in tape.nodes]
         assert ad.replay(tape) > 10
 
     def test_replay_detects_tampering(self):

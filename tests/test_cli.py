@@ -625,3 +625,38 @@ class TestBadInputFilesExit2:
         cfg = write_cfg(tmp_path, IMAGE_CFG)
         assert main(["eval", "--config", cfg, "--checkpoint", str(ck)]) == 2
         _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "cfg_text, tensor, value",
+        [
+            (IMAGE_CFG, "dec.kernel", np.nan),
+            (IMAGE_CFG, "et.attn.w_key", np.nan),
+            (IMAGE_CFG, "et.hopfield.xi", -np.inf),
+            (GRAPH_CFG, "head.w1", np.nan),
+            (GRAPH_CFG, "et.attn.w_key", np.nan),
+            (GRAPH_CFG, "et.attn.beta", np.nan),
+            (GRAPH_CFG, "et.attn.beta", np.inf),
+        ],
+        ids=[
+            "image_dec_kernel", "image_w_key", "image_xi_inf", "graph_head_w1",
+            "graph_w_key", "graph_beta", "graph_beta_inf",
+        ],
+    )
+    def test_non_finite_checkpoint_tensor(self, tmp_path, capsys, cfg_text, tensor, value):
+        # a head weight would give a silently wrong eval.csv, a block weight
+        # a numerical error: both are a format error naming the tensor
+        from energy_transformer.data import load_checkpoint, save_checkpoint
+
+        cfg = write_cfg(tmp_path, cfg_text + "epochs=0\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        tensors = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        tensors[tensor].flat[0] = value
+        ck = tmp_path / "bad.bin"
+        save_checkpoint(tensors, ck)
+        capsys.readouterr()
+        ev = tmp_path / "ev"
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ck), "--out", str(ev)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert f"tensor {tensor!r}" in err, err
+        assert not (ev / "eval.csv").exists()

@@ -276,6 +276,21 @@ class TestAttentionEnergy:
             GraphNeighborhood(adj)
 
 
+class TestAttentionParams:
+    @pytest.mark.parametrize("field", ["w_key", "w_query"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, field, value):
+        w = {"w_key": np.ones((2, 1, 3)), "w_query": np.ones((2, 1, 3))}
+        w[field][1, 0, 2] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            AttentionParams(beta=1.0, **w)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, np.asarray(np.inf), 0.0, -1.0])
+    def test_rejects_beta_not_finite_and_positive(self, beta):
+        with pytest.raises(InvalidInputError, match="beta"):
+            AttentionParams(w_key=np.ones((2, 1, 3)), w_query=np.ones((2, 1, 3)), beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # Hopfield energy
 
@@ -675,6 +690,48 @@ class TestTokenBasis:
             grad = ((w @ k) @ wq + (w.swapaxes(-1, -2) @ q) @ wk).sum(axis=-3)
             assert core.attention_energy(g, a) == float(energy)
             assert np.array_equal(core.attention_grad(g, a), grad)
+
+
+def composed_token_basis(g, a):
+    """The token-basis "from" and "to" terms, (..., N, D) each, as separate
+    head-axis matmuls (the form before one kernel applied both)."""
+    mask = core.mask_matrix(a.mask_mode, g.shape[-2])
+    gh = g.reshape(g.shape[:-2] + (1,) + g.shape[-2:])
+    form = a.w_query.transpose(1, 2, 0) @ a.w_key.transpose(1, 0, 2)
+    w = _kernels.masked_softmax((gh @ (a.beta * form)) @ gh.swapaxes(-1, -2), mask)
+    term_from = (w @ (gh @ form.swapaxes(-1, -2))).sum(axis=-3)
+    term_to = (w.swapaxes(-1, -2) @ (gh @ form)).sum(axis=-3)
+    return term_from, term_to
+
+
+class TestAttentionTermsKernel:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "batch"])
+    @pytest.mark.parametrize("kind", ["exclude", "include", "sparse_graph"])
+    def test_matches_composed_terms(self, kind, lead):
+        rng = np.random.default_rng(43)
+        n = 12
+        for _ in range(4):
+            a = token_basis_params(kind, n, rng)
+            g = rng.normal(0, 1, lead + (n, 3))
+            term_from, term_to = composed_token_basis(g, a)
+            want = term_from + term_to
+            got = core.attention_grad(g, a)
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            # the "from" half alone keeps its composed bits
+            assert np.array_equal(core.attention_from_term(g, a), term_from)
+
+    def test_kernel_is_the_sum_over_heads(self):
+        """sum_h w_h (g a_h^T) + w_h^T (g a_h) for any weights, head by head."""
+        rng = np.random.default_rng(44)
+        g = rng.normal(0, 1, (2, 7, 3))
+        form = rng.normal(0, 1, (4, 3, 3))
+        w = rng.normal(0, 1, (2, 4, 7, 7))
+        want = np.zeros_like(g)
+        for b in range(2):
+            for h in range(4):
+                want[b] += w[b, h] @ g[b] @ form[h].T + w[b, h].T @ g[b] @ form[h]
+        got = _kernels.attention_terms(g, form, w)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

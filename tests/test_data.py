@@ -203,6 +203,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="rank 100 > 32"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "ck.bin"
+        save_checkpoint({"a": np.ones(2), "b.w": np.array([[1.0, value]])}, path)
+        with pytest.raises(FormatError, match="tensor 'b.w' has non-finite values"):
+            load_checkpoint(path)
+
     def test_unknown_name_lookup_fails(self):
         with pytest.raises(FormatError):
             checkpoint_tensor({"a": np.ones(2)}, "b", (2,))
