@@ -17,8 +17,8 @@ Array = np.ndarray
 
 
 def mean_subtract(x: Array) -> Array:
-    """Subtract the mean of the last axis from each row."""
-    return x - x.mean(axis=-1, keepdims=True)
+    """Subtract the mean of the last axis (sum / n, ndarray.mean's bits) from each row."""
+    return x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
 
 
 def rsqrt_normalize(u: Array, epsilon: float) -> Array:
@@ -26,7 +26,7 @@ def rsqrt_normalize(u: Array, epsilon: float) -> Array:
 
     Composed after `mean_subtract` this is the unscaled layer norm.
     """
-    s = np.sqrt((u * u).mean(axis=-1, keepdims=True) + epsilon)
+    s = np.sqrt((u * u).sum(axis=-1, keepdims=True) / u.shape[-1] + epsilon)
     return u / s
 
 
@@ -182,6 +182,6 @@ def softmax_backward(grad: Array, weights: Array, mask: Array | None) -> Array:
 def rsqrt_normalize_backward(grad: Array, u: Array, epsilon: float) -> Array:
     """Vector-Jacobian product of `rsqrt_normalize` over the last axis."""
     d = u.shape[-1]
-    s = np.sqrt((u * u).mean(axis=-1, keepdims=True) + epsilon)
+    s = np.sqrt((u * u).sum(axis=-1, keepdims=True) / d + epsilon)
     inner = (grad * u).sum(axis=-1, keepdims=True)
     return grad / s - u * (inner / (d * s**3))

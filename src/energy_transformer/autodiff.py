@@ -236,7 +236,7 @@ def _log():
 @_op("mean_subtract")
 def _mean_subtract():
     fwd = lambda ins, meta: K.mean_subtract(ins[0])
-    bwd = lambda g, ins, out, meta: [g - g.mean(axis=-1, keepdims=True)]
+    bwd = lambda g, ins, out, meta: [K.mean_subtract(g)]
     return fwd, bwd
 
 

@@ -195,34 +195,39 @@ def check_bptt_graph(
     n_steps: int = 2,
     fd_step: float = 1e-5,
 ) -> list[CheckReport]:
-    """Tape gradients of the full graph-task loss vs. finite differences."""
-    rng = Rng(seed0).stream("bptt-graph")
-    n = 5
-    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
-    g = gr.GraphInstance(
-        n_nodes=n,
-        edges=edges,
-        features=rng.normal(0, 1, (n, 3)),
-        labels=np.array([0, 1, 0, 0, 1]),
-    )
-    params = gr.init_graph_params(
-        g,
-        d=4,
-        h=2,
-        y=2,
-        m=3,
-        beta=0.9,
-        alpha=0.2,
-        n_steps=n_steps,
-        hidden=4,
-        rng=rng,
-        init_std=0.5,
-    )
-    data = (g, np.array([0, 1, 2, 4]))
-    return _check_tape(
-        "graph", gr.graph_loss_fn, gr.GRAPH_TENSORS, params, data,
-        tolerance, seed0, fd_step,
-    )
+    """Tape gradients of the full graph-task loss vs. finite differences,
+    for a block with Y <= D ("graph/...") and one with Y > D like every graph
+    config in use ("graph-token-basis/...", whose tape has `attention_terms`)."""
+    reports = []
+    for prefix, d, y in (("graph", 4, 2), ("graph-token-basis", 3, 6)):
+        rng = Rng(seed0).stream("bptt-graph")
+        n = 5
+        edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3]])
+        g = gr.GraphInstance(
+            n_nodes=n,
+            edges=edges,
+            features=rng.normal(0, 1, (n, 3)),
+            labels=np.array([0, 1, 0, 0, 1]),
+        )
+        params = gr.init_graph_params(
+            g,
+            d=d,
+            h=2,
+            y=y,
+            m=3,
+            beta=0.9,
+            alpha=0.2,
+            n_steps=n_steps,
+            hidden=4,
+            rng=rng,
+            init_std=0.5,
+        )
+        data = (g, np.array([0, 1, 2, 4]))
+        reports += _check_tape(
+            prefix, gr.graph_loss_fn, gr.GRAPH_TENSORS, params, data,
+            tolerance, seed0, fd_step,
+        )
+    return reports
 
 
 def check_energy_descent(

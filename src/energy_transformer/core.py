@@ -31,7 +31,9 @@ outputs keep their bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,26 +89,32 @@ MaskMode = ExcludeSelf | IncludeSelf | GraphNeighborhood
 def mask_matrix(mode: MaskMode, n: int) -> Array:
     """Boolean (N, N) matrix; [C, B] True iff token C may attend to B.
 
-    Raises DegenerateMaskError when some row has no partner, which would
-    put a log(0) in the attention energy (e.g. ExcludeSelf with N=1).
+    ExcludeSelf/IncludeSelf masks are cached read-only.  DegenerateMaskError
+    when some row has no partner: a log(0) in the energy (ExcludeSelf, N=1).
     """
-    if isinstance(mode, ExcludeSelf):
-        m = ~np.eye(n, dtype=bool)
-    elif isinstance(mode, IncludeSelf):
-        m = np.ones((n, n), dtype=bool)
-    elif isinstance(mode, GraphNeighborhood):
-        if mode.adjacency.shape[0] != n:
-            raise ShapeError(
-                f"adjacency is for {mode.adjacency.shape[0]} tokens, state has {n}"
-            )
-        m = mode.adjacency
-    else:
+    if isinstance(mode, (ExcludeSelf, IncludeSelf)):
+        return _token_mask(mode, n)
+    if not isinstance(mode, GraphNeighborhood):
         raise TypeError(f"unknown mask mode {mode!r}")
-    empty = ~m.any(axis=1)
-    if empty.any():
-        rows = np.flatnonzero(empty)
+    if mode.adjacency.shape[0] != n:
+        raise ShapeError(
+            f"adjacency is for {mode.adjacency.shape[0]} tokens, state has {n}"
+        )
+    return _partnered(mode.adjacency)
+
+
+@lru_cache(maxsize=32)
+def _token_mask(mode: ExcludeSelf | IncludeSelf, n: int) -> Array:
+    m = ~np.eye(n, dtype=bool) if isinstance(mode, ExcludeSelf) else np.ones((n, n), dtype=bool)
+    m.flags.writeable = False
+    return _partnered(m)
+
+
+def _partnered(m: Array) -> Array:
+    empty = np.flatnonzero(~m.any(axis=1))
+    if empty.size:
         raise DegenerateMaskError(
-            f"attention mask leaves token(s) {rows.tolist()} with no partner"
+            f"attention mask leaves token(s) {empty.tolist()} with no partner"
         )
     return m
 
@@ -300,7 +308,8 @@ class EnergyBreakdown:
 
 def _check_finite(x: Array, what: str) -> Array:
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
+    # a finite sum proves every entry finite; any other sum is retested entrywise
+    if not math.isfinite(np.add.reduce(x, axis=None)) and not np.isfinite(x).all():
         raise InvalidInputError(f"{what} contains non-finite values")
     return x
 

@@ -1,5 +1,7 @@
 """Tape recording, reverse-mode gradients, replay, and the Adam optimizer."""
 
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -162,6 +164,12 @@ class TestPrimitives:
             lambda t, pv: ad.sum_(ad.square(ad.masked_softmax(pv["s"], mask)))
             + ad.sum_(ad.masked_logsumexp(pv["s"], mask)),
             {"s": (2, 4, 4)},
+        )
+
+    def test_neg_scale(self):
+        self.check(
+            lambda t, pv: ad.sum_(ad.square(-(2.5 * pv["a"]) + pv["a"] * pv["a"])),
+            {"a": (3, 4)},
         )
 
     def test_gather_where_concat(self):
@@ -440,6 +448,24 @@ class TestAttentionTerms:
         )
         assert len(reports) == len(gr.GRAPH_TENSORS)
         assert all(r.passed for r in reports), [(r.name, r.worst_rel_err) for r in reports]
+
+
+def test_every_primitive_has_a_finite_difference_test(monkeypatch):
+    """Walks the primitive registry: every primitive but `leaf` is recorded
+    by some `TestPrimitives.check` call, the direct FD test of its VJP."""
+    recorded = set()
+
+    def record_ops(self, build, args, seed=0):
+        values = {name: np.ones(shape) for name, shape in args.items()}
+        recorded.update(node.op for node in ad.record_forward(build, values)[1].nodes)
+
+    monkeypatch.setattr(TestPrimitives, "check", record_ops)
+    for name, test in vars(TestPrimitives).items():
+        if name.startswith("test_") and list(inspect.signature(test).parameters) == ["self"]:
+            test(TestPrimitives())
+    TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
+    missing = set(ad._OPS) - {"leaf"} - recorded
+    assert not missing, f"primitives with no finite-difference test: {sorted(missing)}"
 
 
 class TestReplay:

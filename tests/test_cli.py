@@ -327,6 +327,8 @@ class TestCliVerifyGrad:
         assert main(["verify-grad", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "hopfield_grad" in out and "attention_grad" in out
+        assert "graph/et.attn.w_key" in out and "graph-token-basis/et.attn.w_key" in out
+        assert "all 43 gradient checks passed" in out
         assert "ok" in out
 
     def test_corrupted_gradient_fails_naming_tensor(self, tmp_path, capsys, monkeypatch):

@@ -145,6 +145,31 @@ class TestLayerNorm:
             LayerNormParams(gamma=1.0, delta=np.zeros(3), epsilon=-1e-9)
 
 
+class TestMeanForms:
+    """Row means taken as sum / n against the `np.mean` formulas they
+    replace: the same bits, at ordinary and at ~1e150 magnitudes."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 16), (3, 4, 64)], ids=str)
+    @pytest.mark.parametrize("scale", [1.0, 1e150], ids=["unit", "1e150"])
+    def test_bit_identical_to_np_mean(self, shape, scale):
+        rng = np.random.default_rng(23)
+        x = rng.normal(0, scale, shape) + rng.uniform(-2, 2) * scale
+        grad = rng.normal(0, scale, shape)
+        d = shape[-1]
+        u = x - x.mean(axis=-1, keepdims=True)
+        s = np.sqrt((u * u).mean(axis=-1, keepdims=True) + 1e-5)
+        assert np.array_equal(_kernels.mean_subtract(x), u)
+        assert np.array_equal(_kernels.rsqrt_normalize(u, 1e-5), u / s)
+        _, mean_subtract_vjp = ad._OPS["mean_subtract"]
+        got = mean_subtract_vjp(grad, [x], None, {})[0]
+        assert np.array_equal(got, grad - grad.mean(axis=-1, keepdims=True))
+        with np.errstate(over="ignore"):  # s**3 overflows at 1e150 on both sides
+            inner = (grad * u).sum(axis=-1, keepdims=True)
+            want = grad / s - u * (inner / (d * s**3))
+            got = _kernels.rsqrt_normalize_backward(grad, u, 1e-5)
+        assert np.array_equal(got, want)
+
+
 class TestLagrangian:
     def test_constant_input(self):
         p = LayerNormParams(gamma=1.0, delta=np.zeros(5), epsilon=1e-3)
@@ -274,6 +299,48 @@ class TestAttentionEnergy:
         adj[0, 1] = True
         with pytest.raises(InvalidInputError):
             GraphNeighborhood(adj)
+
+
+class TestTokenMasks:
+    """ExcludeSelf and IncludeSelf masks come from a cache, read-only, and
+    equal the freshly built arrays they replace."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_cached_read_only_and_equal_to_fresh(self, n):
+        for mode, fresh in (
+            (ExcludeSelf(), ~np.eye(n, dtype=bool)),
+            (IncludeSelf(), np.ones((n, n), dtype=bool)),
+        ):
+            m = core.mask_matrix(mode, n)
+            assert m.dtype == bool and np.array_equal(m, fresh)
+            assert core.mask_matrix(type(mode)(), n) is m
+            with pytest.raises(ValueError):
+                m[0, 1] = not m[0, 1]
+
+    def test_single_token_exclude_self_still_rejected(self):
+        for _ in range(2):
+            with pytest.raises(DegenerateMaskError):
+                core.mask_matrix(ExcludeSelf(), 1)
+        assert core.mask_matrix(IncludeSelf(), 1).all()
+
+
+class TestCheckFinite:
+    """The one-sum finiteness test decides as the entrywise test it
+    replaces, also where the sum alone would not."""
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        x = np.array([1e308, 1e308])
+        assert np.isfinite(x).all()
+        with np.errstate(over="ignore"):
+            assert np.array_equal(core._check_finite(x, "x"), x)
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, np.nan], [np.inf, 1.0], [-np.inf, 0.0], [np.inf, -np.inf]],
+        ids=["nan", "inf", "-inf", "inf-inf"],
+    )
+    def test_rejects_non_finite(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError):
+            core._check_finite(np.array(bad), "x")
 
 
 class TestAttentionParams:
