@@ -252,7 +252,7 @@ def _rsqrt_normalize():
 @_op("masked_softmax")
 def _masked_softmax():
     fwd = lambda ins, meta: K.masked_softmax(ins[0], meta["mask"])
-    bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"])]
+    bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"], out=g)]
     return fwd, bwd
 
 
@@ -281,7 +281,7 @@ def _masked_logsumexp():
 
     def bwd(g, ins, out, meta):
         w = K.masked_softmax(ins[0], meta["mask"])
-        return [w * g[..., None]]
+        return [np.multiply(w, g[..., None], out=w)]
 
     return fwd, bwd
 
@@ -569,10 +569,20 @@ def record_forward(fn, params: dict[str, Array], *args, **kwargs) -> tuple[float
     return float(out.value), tape
 
 
+def _private(g: Array, grads: dict[int, Array]) -> bool:
+    """Whether g owns its memory and no other pending gradient overlaps it."""
+    return g.flags.owndata and not any(np.may_share_memory(g, o) for o in grads.values())
+
+
 def backward(tape: Tape) -> dict[str, Array]:
     """Exact gradients of the recorded scalar w.r.t. every named parameter.
 
     Parameters that do not influence the result get exact zeros.
+
+    The masked-softmax VJP writes dS into its gradient, so it gets a copy
+    unless `_private` holds (`add` hands one array to both operands and
+    `transpose`/`reshape` pass views).  No VJP returns a saved value or an
+    input, so `replay` sees untouched values.
     """
     if tape.result is None:
         raise TapeError("tape has no recorded result; call finish() first")
@@ -584,6 +594,8 @@ def backward(tape: Tape) -> dict[str, Array]:
         g = grads.pop(idx, None)
         if g is None:
             continue
+        if node.op == "masked_softmax" and not _private(g, grads):
+            g = g.copy()
         _, bwd = _OPS[node.op]
         ins = [tape.nodes[i].value for i in node.inputs]
         for inp_idx, inp_grad in zip(node.inputs, bwd(g, ins, node.value, node.meta)):

@@ -413,7 +413,9 @@ def attention_energy_of(g, w_key, w_query, beta, mask):
 def attention_update_of(g, w_key, w_query, beta, mask):
     """-dE/dg of the attention energy: the "from" plus the "to" term."""
     scores, _, update = scores_of(g, w_key, w_query, beta)
-    return update(_ops(g).masked_softmax(scores, mask))
+    if isinstance(g, ad.Var):
+        return update(ad.masked_softmax(scores, mask))
+    return update(_kernels.masked_softmax(scores, mask, out=scores))  # scores are ours alone
 
 
 def hopfield_energy_of(g, xi, activation: Activation):

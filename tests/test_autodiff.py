@@ -1,6 +1,7 @@
 """Tape recording, reverse-mode gradients, replay, and the Adam optimizer."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -466,6 +467,120 @@ def test_every_primitive_has_a_finite_difference_test(monkeypatch):
     TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
     missing = set(ad._OPS) - {"leaf"} - recorded
     assert not missing, f"primitives with no finite-difference test: {sorted(missing)}"
+
+
+def _ring(n):
+    ring = np.roll(np.eye(n, dtype=bool), 1, 1)
+    return core.GraphNeighborhood(ring | ring.T).adjacency
+
+
+class TestGradientOwnership:
+    """The masked-softmax VJP writes dS into its incoming gradient, so it must
+    give exact gradients when that gradient is shared with another pending
+    one: equal to the out-of-place VJP and to finite differences."""
+
+    MASKS = {"dense": ~np.eye(6, dtype=bool), "sparse": _ring(6)}
+
+    def check(self, mask, consume, shapes, expected):
+        """loss = sum(c * consume(w, pv)) with w = masked_softmax(s);
+        expected(c) gives dloss/dw and the gradients of the other params."""
+        rng = np.random.default_rng(21)
+        values = {"s": rng.normal(size=(2, 6, 6))}
+        values.update({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        c = rng.normal(size=(2, 6, 6))
+
+        def build(tape, pv):
+            return ad.sum_(tape.constant(c) * consume(ad.masked_softmax(pv["s"], mask), pv))
+
+        grads = ad.backward(ad.record_forward(build, values)[1])
+        dw, want = expected(c)
+        weights = _kernels.masked_softmax(values["s"], mask)
+        want["s"] = _kernels.softmax_backward(dw, weights, mask)
+        for name, value in values.items():
+            assert np.array_equal(grads[name], want[name]), name
+            fd = ad.finite_diff(lambda v: ad.record_forward(build, {**values, name: v})[0], value)
+            assert rel(grads[name], fd) < 1e-7, name
+
+    @pytest.mark.parametrize("mask", ["dense", "sparse"])
+    def test_add_hands_one_array_to_both_operands(self, mask):
+        self.check(
+            self.MASKS[mask], lambda w, pv: w + pv["x"], {"x": (2, 6, 6)}, lambda c: (c, {"x": c})
+        )
+
+    @pytest.mark.parametrize("mask", ["dense", "sparse"])
+    def test_transposed_view_pending_elsewhere(self, mask):
+        self.check(
+            self.MASKS[mask],
+            lambda w, pv: w + pv["z"].swapaxes(-1, -2),
+            {"z": (2, 6, 6)},
+            lambda c: (c, {"z": c.swapaxes(-1, -2)}),
+        )
+
+    @pytest.mark.parametrize("mask", ["dense", "sparse"])
+    def test_reshaped_view_pending_elsewhere(self, mask):
+        self.check(
+            self.MASKS[mask],
+            lambda w, pv: w + pv["z"].reshape((2, 6, 6)),
+            {"z": (2, 36)},
+            lambda c: (c, {"z": c.reshape(2, 36)}),
+        )
+
+    @pytest.mark.parametrize("mask", ["dense", "sparse"])
+    def test_weights_consumed_twice(self, mask):
+        self.check(self.MASKS[mask], lambda w, pv: w + w, {}, lambda c: (c + c, {}))
+        self.check(
+            self.MASKS[mask],
+            lambda w, pv: w + w.swapaxes(-1, -2),
+            {},
+            lambda c: (c + c.swapaxes(-1, -2), {}),
+        )
+
+
+class TestAttentionMemory:
+    """A graph step holds one (H, N, N) array where it used to hold two: the
+    weights overwrite the scores on arrays, and on the tape dS overwrites
+    the gradient it receives (N=400, H=2, Y > D, a mask allowing about 5% of
+    its entries, as sparse as the bench graph's 9%: the allowed-entry
+    arrays then stay small next to the N x N ones)."""
+
+    N, H = 400, 2
+    LIMIT = 1.5 * H * N * N * 8  # bytes
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        rng = np.random.default_rng(31)
+        upper = np.triu(rng.random((self.N, self.N)) < 0.05, 1)
+        adj = upper | upper.T
+        adj[np.arange(self.N), np.arange(self.N)] |= ~adj.any(axis=1)
+        et = core.init_et_params(
+            rng, d=8, h=self.H, y=16, m=16, beta=0.25, mask_mode=core.GraphNeighborhood(adj),
+            activation=core.Relu(), init_std=0.1, enable_attn=True, enable_hopfield=True,
+        )
+        return et, rng.normal(size=(self.N, 8))
+
+    @staticmethod
+    def peak(fn) -> int:
+        fn()  # the mask's layout is derived on the first call and kept
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_array_step(self, block):
+        et, x = block
+        assert self.peak(lambda: core.et_step(x, et, 0.1)) < self.LIMIT
+
+    def test_tape_backward(self, block):
+        et, x = block
+
+        def loss(tape, pv):
+            x1 = et_step_v(pv["x"], pv, et, 0.1)
+            return (x1 * x1).sum()
+
+        tape = ad.record_forward(loss, {"x": x, **_block_tensors(et)})[1]
+        assert self.peak(lambda: ad.backward(tape)) < self.LIMIT
 
 
 class TestReplay:

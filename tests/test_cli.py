@@ -132,6 +132,9 @@ train_ratio=0.4
 seed=1
 """
 
+# Y > D: the graph task's token basis and its `attention_terms` node
+GRAPH_TOKEN_CFG = GRAPH_CFG.replace("d=6\n", "d=4\n").replace("y=4\n", "y=8\n")
+
 
 class TestCliTrainEval:
     def test_image_train_writes_outputs(self, tmp_path, capsys):
@@ -235,6 +238,23 @@ class TestCliTrainEval:
             assert main(["train", "--config", cfg, "--out", str(tmp_path / threads)]) == 0
         for name in ("checkpoint.bin", "metrics.csv", "train_log_seed1.csv", "train_log_seed2.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_graph_token_basis_outputs_deterministic(self, tmp_path):
+        values = parse_config_text(GRAPH_TOKEN_CFG)
+        assert values["y"] > values["d"]
+        cfg = write_cfg(tmp_path, GRAPH_TOKEN_CFG)
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+            ck = str(out / "checkpoint.bin")
+            assert main(["eval", "--config", cfg, "--checkpoint", ck, "--out", str(out)]) == 0
+            assert main(["dump-energy", "--config", cfg, "--checkpoint", ck, "--out", str(out)]) == 0
+        names = (
+            "checkpoint.bin", "metrics.csv", "train_log_seed1.csv", "train_log_seed2.csv",
+            "eval.csv", "energy.csv",
+        )
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_export_weights_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG)

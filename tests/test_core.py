@@ -10,6 +10,8 @@ import gc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energy_transformer import _kernels, core
 from energy_transformer import autodiff as ad
@@ -945,6 +947,109 @@ class TestSoftmaxVjp:
             grad = rng.normal(size=scores.shape)
             want = dense_softmax_backward(grad, dense_masked_softmax(scores, mask))
             assert np.array_equal(taped_softmax_vjp(scores, mask, grad), want)
+
+
+@st.composite
+def masked_scores(draw):
+    """(scores, mask, rng) with lead shape (), (H,) or (B, H); graph masks
+    allow a share of their entries far below and around `_derive_layout`'s
+    1/2 rule, read-only (the layout cache) or writeable."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["graph", "graph_writeable", "exclude", "include", "none"]))
+    if kind.startswith("graph"):
+        adj = random_adjacency(n, draw(st.sampled_from([0.02, 0.1, 0.4, 0.5, 0.6])), rng)
+        mask = adj if kind == "graph_writeable" else GraphNeighborhood(adj).adjacency
+    elif kind == "none":
+        mask = None
+    else:
+        mask = core.mask_matrix(ExcludeSelf() if kind == "exclude" else IncludeSelf(), n)
+    scale = draw(st.sampled_from([1.0, 30.0]))
+    return scale * rng.normal(size=lead + (n, n)), mask, rng
+
+
+PROPS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+class TestKernelProperties:
+    """Seeded properties of the masked kernels: the allowed-entry branch
+    against the dense formulas above, `out=` against fresh results, and
+    `attention_terms` against a per-head loop."""
+
+    @PROPS
+    @given(masked_scores())
+    def test_softmax_and_logsumexp_match_dense_bits(self, case):
+        scores, mask, _ = case
+        before = scores.copy()
+        assert np.array_equal(
+            _kernels.masked_softmax(scores, mask), dense_masked_softmax(scores, mask)
+        )
+        assert np.array_equal(
+            _kernels.masked_logsumexp(scores, mask), dense_masked_logsumexp(scores, mask)
+        )
+        assert np.array_equal(scores, before)
+
+    @PROPS
+    @given(masked_scores())
+    def test_softmax_out_matches_fresh_result(self, case):
+        scores, mask, _ = case
+        fresh = _kernels.masked_softmax(scores, mask)
+        buf = scores.copy()
+        got = _kernels.masked_softmax(buf, mask, out=buf)
+        assert got is buf and np.array_equal(got, fresh)
+        junk = np.full_like(scores, np.nan)
+        got = _kernels.masked_softmax(scores, mask, out=junk)
+        assert got is junk and np.array_equal(got, fresh)
+
+    @PROPS
+    @given(masked_scores())
+    def test_softmax_backward_out_matches_fresh_result(self, case):
+        scores, mask, rng = case
+        weights = _kernels.masked_softmax(scores, mask)
+        grad = rng.normal(size=scores.shape)
+        grad_before, weights_before = grad.copy(), weights.copy()
+        fresh = _kernels.softmax_backward(grad, weights, mask)
+        assert np.array_equal(grad, grad_before)
+        buf = grad.copy()
+        got = _kernels.softmax_backward(buf, weights, mask, out=buf)
+        assert got is buf and np.array_equal(got, fresh)
+        assert np.array_equal(weights, weights_before)
+
+    @PROPS
+    @given(masked_scores())
+    def test_softmax_backward_matches_dense_formula(self, case):
+        """Bit-equal on the dense branch; on the allowed-entry branch exactly
+        0 off the mask and within round-off of the terms elsewhere."""
+        scores, mask, rng = case
+        weights = _kernels.masked_softmax(scores, mask)
+        grad = rng.normal(size=scores.shape)
+        got = _kernels.softmax_backward(grad, weights, mask)
+        if _kernels._allowed_entries(weights, mask) is None:
+            assert np.array_equal(got, dense_softmax_backward(grad, weights))
+            return
+        assert (got[np.broadcast_to(~mask, got.shape)] == 0).all()
+        assert_vjp_close(got, grad, weights)
+
+    @PROPS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(), (2,)]),
+        st.integers(1, 12),
+        st.integers(1, 5),
+        st.integers(1, 3),
+    )
+    def test_attention_terms_is_the_per_head_sum(self, seed, lead, n, d, h):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=lead + (n, d))
+        form = rng.normal(size=(h, d, d))
+        w = rng.normal(size=lead + (h, n, n))
+        want = np.zeros_like(g)
+        for b in np.ndindex(*lead):
+            for k in range(h):
+                want[b] += w[b][k] @ g[b] @ form[k].T + w[b][k].T @ g[b] @ form[k]
+        got = _kernels.attention_terms(g, form, w)
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(np.abs(want).max(), 1.0))
 
 
 class TestLayoutCache:
