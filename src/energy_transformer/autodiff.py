@@ -9,11 +9,12 @@ checks that it reproduces the saved values bit-exactly.
 
 The primitive set is closed: model code must be composed from the functions
 in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
-`**`, `transpose`, `swapaxes`, `reshape`, `sum`), each of which records one
-of these primitives.  So `core` writes the block once in ndarray idiom and
-runs it on arrays for inference and on Vars for training.  Every
-primitive's forward calls the same numpy kernels as the analytic inference
-path, so recorded values agree with direct evaluation to the last bit.
+`**`, unary `-`, `transpose`, `swapaxes`, `reshape`, `sum`), each of which
+records one of these primitives (`-x` is `scale` by -1.0).  So `core`
+writes the block once in ndarray idiom and runs it on arrays for inference
+and on Vars for training.  Every primitive's forward calls the same numpy
+kernels as the analytic inference path, so recorded values agree with
+direct evaluation to the last bit.
 Gradients are exact up to round-off: the masked-softmax VJP on a sparse
 mask, the gradient of a 0-d factor in `mul` and the `attention_terms` VJP
 sum in a different order than the composed formulas they replace.
@@ -116,30 +117,6 @@ def _scale():
     return fwd, bwd
 
 
-@_op("neg")
-def _neg():
-    fwd = lambda ins, meta: -ins[0]
-    bwd = lambda g, ins, out, meta: [-g]
-    return fwd, bwd
-
-
-def _keeps_layout(x: Array, g: Array) -> bool:
-    """Whether matmul's VJP gives operand x its gradient in x's own layout.
-
-    x qualifies when it is a C-ordered array viewed with its last two axes
-    swapped (w^T in the "to" term): the gradient its transpose node passes
-    back is then C-ordered like the others it is added to.  That product
-    reads g transposed, which costs more than it saves unless x is at least
-    as large as g (it is not for k^T in Q K^T, whose g is N x N).
-    """
-    return (
-        x.ndim >= 2
-        and x.size >= g.size
-        and not x.flags.c_contiguous
-        and x.swapaxes(-1, -2).flags.c_contiguous
-    )
-
-
 @_op("matmul")
 def _matmul():
     fwd = lambda ins, meta: np.matmul(ins[0], ins[1])
@@ -152,14 +129,8 @@ def _matmul():
             k, m = b.shape
             a2, g2 = a.reshape(-1, k), g.reshape(-1, m)
             return [np.matmul(g2, b.T).reshape(a.shape), np.matmul(a2.T, g2)]
-        if _keeps_layout(a, g):
-            ga = np.matmul(b, g.swapaxes(-1, -2)).swapaxes(-1, -2)
-        else:
-            ga = np.matmul(g, b.swapaxes(-1, -2))
-        if _keeps_layout(b, g):
-            gb = np.matmul(g.swapaxes(-1, -2), a).swapaxes(-1, -2)
-        else:
-            gb = np.matmul(a.swapaxes(-1, -2), g)
+        ga = np.matmul(g, b.swapaxes(-1, -2))
+        gb = np.matmul(a.swapaxes(-1, -2), g)
         return [_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)]
 
     return fwd, bwd
@@ -202,13 +173,6 @@ def _sum():
 def _relu():
     fwd = lambda ins, meta: K.relu(ins[0])
     bwd = lambda g, ins, out, meta: [g * (ins[0] > 0)]
-    return fwd, bwd
-
-
-@_op("square")
-def _square():
-    fwd = lambda ins, meta: ins[0] * ins[0]
-    bwd = lambda g, ins, out, meta: [2.0 * ins[0] * g]
     return fwd, bwd
 
 
@@ -400,8 +364,8 @@ class Var:
     """Handle to one tape node.
 
     Operators and the ndarray methods below record the matching primitive,
-    so array code records itself when handed Vars; a number times a Var is
-    `scale`.
+    so array code records itself when handed Vars; a number times a Var,
+    and its negation, is `scale`.
     """
 
     tape: Tape
@@ -436,7 +400,7 @@ class Var:
         return matmul(self, other)
 
     def __neg__(self) -> "Var":
-        return neg(self)
+        return scale(self, -1.0)
 
     def __pow__(self, n: int) -> "Var":
         return power(self, n)
@@ -475,10 +439,6 @@ def scale(a: Var, c: float) -> Var:
     return a.tape._push("scale", (a,), {"c": float(c)})
 
 
-def neg(a: Var) -> Var:
-    return a.tape._push("neg", (a,), {})
-
-
 def matmul(a: Var, b: Var) -> Var:
     return a.tape._push("matmul", (a, b), {})
 
@@ -499,10 +459,6 @@ def sum_(a: Var, axis: int | None = None) -> Var:
 
 def relu(a: Var) -> Var:
     return a.tape._push("relu", (a,), {})
-
-
-def square(a: Var) -> Var:
-    return a.tape._push("square", (a,), {})
 
 
 def power(a: Var, n: int) -> Var:

@@ -2,7 +2,8 @@
 
 Subcommands: verify-grad, train, eval, dump-energy, export-weights,
 gen-data.  Exit codes: 0 success, 1 verification/assertion failure,
-2 usage or configuration error.  ET_THREADS caps multi-seed parallelism.
+2 usage or configuration error.  ET_THREADS (an integer >= 1, default 1)
+caps multi-seed parallelism.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _threads() -> int:
-    raw = os.environ.get("ET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """ET_THREADS, an integer >= 1; unset or empty means 1."""
+    raw = os.environ.get("ET_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"ET_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _config(args) -> RunConfig:
@@ -227,6 +228,8 @@ def _train_graph(cfg: RunConfig, out: Path) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
+    if cfg.task == "graph":
+        _threads()  # a bad ET_THREADS fails before anything is written
     out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
     if cfg.task == "image":

@@ -107,7 +107,6 @@ class SplitPlan:
     train: Array
     valid: Array
     test: Array
-    train_ratio: float
 
     def __post_init__(self):
         union = np.concatenate([self.train, self.valid, self.test])
@@ -124,7 +123,6 @@ def make_split(n: int, train_ratio: float, rng: np.random.Generator) -> SplitPla
         train=np.sort(perm[:n_train]),
         valid=np.sort(rest[:n_valid]),
         test=np.sort(rest[n_valid:]),
-        train_ratio=train_ratio,
     )
 
 
@@ -360,7 +358,7 @@ def graph_loss_fn(
     neg_term = ad.sum_(
         ad.mul(tape.constant(1.0 - lt), ad.log(ad.sub(tape.constant(np.ones_like(lt)), pt)))
     )
-    return ad.neg(pos_term + neg_term)
+    return -(pos_term + neg_term)
 
 
 def train_graph(

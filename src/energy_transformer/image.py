@@ -325,7 +325,7 @@ def image_loss_fn(
     x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha)
     g = layer_norm_of(x, pv["dec.norm.gamma"], pv["dec.norm.delta"], spec.dec_norm_epsilon)
     recon = ad.matmul(g, pv["dec.kernel"]) + pv["dec.bias"]
-    sq = ad.square(recon - pc)
+    sq = (recon - pc) ** 2
     weights = tape.constant(occluded[..., None].astype(np.float64))
     n_scored = int(occluded.sum()) * patch
     if n_scored == 0:

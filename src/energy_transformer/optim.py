@@ -11,6 +11,7 @@ from . import autodiff as ad
 from .errors import DivergenceError
 
 Array = np.ndarray
+EPS = 1e-8  # Adam's denominator offset
 
 
 def global_norm(grads: dict[str, Array]) -> float:
@@ -42,7 +43,6 @@ class AdamState:
     b2: float = 0.99
     weight_decay: float = 0.0
     grad_clip: float | None = 1.0
-    eps: float = 1e-8
     decay_exempt: frozenset[str] = field(default_factory=frozenset)
 
     @classmethod
@@ -83,7 +83,7 @@ def adam_step(
         v = state.b2 * state.v[name] + (1.0 - state.b2) * g * g
         m_hat = m / (1.0 - state.b1**t)
         v_hat = v / (1.0 - state.b2**t)
-        p_new = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p_new = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
         if state.weight_decay and name not in state.decay_exempt:
             p_new = p_new - lr * state.weight_decay * p
         new_params[name] = p_new

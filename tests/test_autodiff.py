@@ -10,6 +10,7 @@ import pytest
 from energy_transformer import _kernels, core
 from energy_transformer import autodiff as ad
 from energy_transformer import graph as gr
+from energy_transformer import image as im
 from energy_transformer.checks import _check_tape
 from energy_transformer.data import Rng
 from energy_transformer.errors import DivergenceError, TapeError
@@ -70,35 +71,32 @@ class TestPrimitives:
 
     def test_add_sub_mul_broadcast(self):
         self.check(
-            lambda t, pv: ad.sum_(ad.square((pv["a"] + pv["b"]) - pv["a"] * pv["c"])),
+            lambda t, pv: ad.sum_(((pv["a"] + pv["b"]) - pv["a"] * pv["c"]) ** 2),
             {"a": (3, 4), "b": (4,), "c": ()},
         )
 
     def test_matmul_batched(self):
         self.check(
-            lambda t, pv: ad.sum_(ad.square(ad.matmul(pv["a"], pv["b"]))),
+            lambda t, pv: ad.sum_(ad.matmul(pv["a"], pv["b"]) ** 2),
             {"a": (2, 3, 4), "b": (4, 5)},
         )
 
     @pytest.mark.parametrize(
-        "shapes, kept",
+        "shapes",
         [
-            ({"a": (2, 6, 3), "b": (2, 2, 6)}, True),  # views larger than the product
-            ({"a": (2, 3, 4), "b": (2, 5, 3)}, False),
+            {"a": (2, 6, 3), "b": (2, 2, 6)},  # views larger than the product
+            {"a": (2, 3, 4), "b": (2, 5, 3)},
         ],
         ids=["kept", "smaller"],
     )
-    def test_matmul_transposed_views(self, shapes, kept):
-        # operands viewed transposed, as w^T in the "to" term and k^T in Q K^T
+    def test_matmul_transposed_views(self, shapes):
+        # operands viewed transposed, as k^T in Q K^T
         def build(t, pv):
             a = ad.transpose(pv["a"], (0, 2, 1))
             b = ad.transpose(pv["b"], (0, 2, 1))
-            return ad.sum_(ad.square(ad.matmul(a, b)))
+            return ad.sum_(ad.matmul(a, b) ** 2)
 
         self.check(build, shapes)
-        values = {name: np.ones(shape) for name, shape in shapes.items()}
-        grads = ad.backward(ad.record_forward(build, values)[1])
-        assert all(grads[name].flags.c_contiguous == kept for name in values)
 
     @pytest.mark.parametrize("view", [False, True], ids=["weight", "transposed_view"])
     def test_matmul_2d_weight_matches_per_batch_vjp(self, view):
@@ -127,21 +125,21 @@ class TestPrimitives:
     def test_transpose_reshape(self):
         self.check(
             lambda t, pv: ad.sum_(
-                ad.square(ad.reshape(ad.transpose(pv["a"], (1, 0, 2)), (6, 4)))
+                ad.reshape(ad.transpose(pv["a"], (1, 0, 2)), (6, 4)) ** 2
             ),
             {"a": (3, 2, 4)},
         )
 
     def test_sum_axis(self):
         self.check(
-            lambda t, pv: ad.sum_(ad.square(ad.sum_(pv["a"], axis=-2))),
+            lambda t, pv: ad.sum_(ad.sum_(pv["a"], axis=-2) ** 2),
             {"a": (3, 4, 2)},
         )
 
     def test_relu_square_power(self):
         self.check(
             lambda t, pv: ad.sum_(ad.power(ad.relu(pv["a"]), 3))
-            + ad.sum_(ad.square(pv["a"])),
+            + ad.sum_(pv["a"] ** 2),
             {"a": (5, 3)},
         )
 
@@ -154,7 +152,7 @@ class TestPrimitives:
     def test_norm_kernels(self):
         self.check(
             lambda t, pv: ad.sum_(
-                ad.square(ad.rsqrt_normalize(ad.mean_subtract(pv["a"]), 1e-4))
+                ad.rsqrt_normalize(ad.mean_subtract(pv["a"]), 1e-4) ** 2
             ),
             {"a": (4, 5)},
         )
@@ -162,14 +160,14 @@ class TestPrimitives:
     def test_masked_softmax_and_lse(self):
         mask = ~np.eye(4, dtype=bool)
         self.check(
-            lambda t, pv: ad.sum_(ad.square(ad.masked_softmax(pv["s"], mask)))
+            lambda t, pv: ad.sum_(ad.masked_softmax(pv["s"], mask) ** 2)
             + ad.sum_(ad.masked_logsumexp(pv["s"], mask)),
             {"s": (2, 4, 4)},
         )
 
     def test_neg_scale(self):
         self.check(
-            lambda t, pv: ad.sum_(ad.square(-(2.5 * pv["a"]) + pv["a"] * pv["a"])),
+            lambda t, pv: ad.sum_((-(2.5 * pv["a"]) + pv["a"] * pv["a"]) ** 2),
             {"a": (3, 4)},
         )
 
@@ -177,8 +175,8 @@ class TestPrimitives:
         idx = np.array([0, 2, 2])
         rows = np.array([True, False, True, False])
         self.check(
-            lambda t, pv: ad.sum_(ad.square(ad.gather(pv["a"], idx)))
-            + ad.sum_(ad.square(ad.concat([ad.where_rows(pv["a"], pv["v"], rows), pv["a"]], axis=-1))),
+            lambda t, pv: ad.sum_(ad.gather(pv["a"], idx) ** 2)
+            + ad.sum_(ad.concat([ad.where_rows(pv["a"], pv["v"], rows), pv["a"]], axis=-1) ** 2),
             {"a": (4, 3), "v": (3,)},
         )
 
@@ -216,7 +214,7 @@ class TestRecordForward:
 
         def fn(scale_factor):
             def inner(tape, pv):
-                return ad.scale(ad.sum_(ad.square(pv["w"])), scale_factor)
+                return ad.scale(ad.sum_(pv["w"] ** 2), scale_factor)
 
             _, tape = ad.record_forward(inner, {"w": w})
             return ad.backward(tape)["w"]
@@ -420,7 +418,7 @@ class TestAttentionTerms:
     def test_primitive_vjp_matches_finite_differences(self, lead):
         # any weights, not only a softmax's, and a form per head
         TestPrimitives().check(
-            lambda t, pv: ad.sum_(ad.square(ad.attention_terms(pv["g"], pv["a"], pv["w"]))),
+            lambda t, pv: ad.sum_(ad.attention_terms(pv["g"], pv["a"], pv["w"]) ** 2),
             {"g": lead + (5, 3), "a": (2, 3, 3), "w": lead + (2, 5, 5)},
         )
 
@@ -467,6 +465,42 @@ def test_every_primitive_has_a_finite_difference_test(monkeypatch):
     TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
     missing = set(ad._OPS) - {"leaf"} - recorded
     assert not missing, f"primitives with no finite-difference test: {sorted(missing)}"
+
+
+def test_tape_shapes_the_benchmark_counts():
+    """The image tape at the benchmark's image-train dims has 204 nodes, and
+    a graph step at Y > D records one masked softmax and one attention-terms
+    node, the node whose scores the benchmark counts."""
+    rng = np.random.default_rng(0)
+    p = im.init_image_params(
+        n_tokens=16, patch_size=64, d=64, h=4, y=16, m=256, beta=0.25, alpha=0.1,
+        n_steps=6, k_h=8, k_w=8, mask_mode=core.ExcludeSelf(), activation=core.Relu(), rng=rng,
+    )
+    plans = [im.make_mask_plan(16, 8, 7, rng) for _ in range(16)]
+    _, tape = ad.record_forward(
+        im.image_loss_fn,
+        im.image_params_to_tensors(p),
+        rng.normal(0, 1, (16, 16, 64)),
+        np.stack([plan.replaced_mask(16) for plan in plans]),
+        np.stack([plan.occluded_mask(16) for plan in plans]),
+        p,
+    )
+    assert len(tape.nodes) == 204
+
+    g = gr.GraphInstance(
+        n_nodes=4,
+        edges=np.array([[0, 1], [1, 2], [2, 3]]),
+        features=rng.normal(0, 1, (4, 3)),
+        labels=np.array([0, 1, 0, 1]),
+    )
+    params = gr.init_graph_params(
+        g, d=3, h=2, y=6, m=3, beta=0.9, alpha=0.2, n_steps=1, hidden=4, rng=rng,
+    )
+    _, tape = ad.record_forward(
+        gr.graph_loss_fn, gr.graph_params_to_tensors(params), g, np.arange(4), params
+    )
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("masked_softmax") == ops.count("attention_terms") == 1
 
 
 def _ring(n):
@@ -599,7 +633,7 @@ class TestReplay:
         x = rng.normal(0, 1, (3, d))
 
         def fn(tape, pv):
-            return ad.sum_(ad.square(et_step_v(tape.constant(x), pv, p, 0.1)))
+            return ad.sum_(et_step_v(tape.constant(x), pv, p, 0.1) ** 2)
 
         _, tape = ad.record_forward(fn, _block_tensors(p))
         assert ad.replay(tape) > 10
@@ -609,7 +643,7 @@ class TestReplay:
         x = np.random.default_rng(3).normal(0, 1, (2, 6, et.dim))
 
         def fn(tape, pv):
-            return ad.sum_(ad.square(_tape_step(tape.constant(x), pv, et, 0.1, True)))
+            return ad.sum_(_tape_step(tape.constant(x), pv, et, 0.1, True) ** 2)
 
         _, tape = ad.record_forward(fn, _block_tensors(et))
         assert "attention_terms" in [n.op for n in tape.nodes]
@@ -617,7 +651,7 @@ class TestReplay:
 
     def test_replay_detects_tampering(self):
         def fn(tape, pv):
-            return ad.sum_(ad.square(pv["w"]))
+            return ad.sum_(pv["w"] ** 2)
 
         _, tape = ad.record_forward(fn, {"w": np.ones(3)})
         tape.nodes[-1].value = tape.nodes[-1].value + 1.0
@@ -631,7 +665,7 @@ class TestBpttDeterminism:
         w = rng.normal(0, 1, (4, 4))
 
         def fn(tape, pv):
-            return ad.sum_(ad.square(ad.matmul(pv["w"], pv["w"])))
+            return ad.sum_(ad.matmul(pv["w"], pv["w"]) ** 2)
 
         g1 = ad.backward(ad.record_forward(fn, {"w": w})[1])["w"]
         g2 = ad.backward(ad.record_forward(fn, {"w": w})[1])["w"]

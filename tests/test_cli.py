@@ -239,6 +239,18 @@ class TestCliTrainEval:
         for name in ("checkpoint.bin", "metrics.csv", "train_log_seed1.csv", "train_log_seed2.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_bad_thread_count_exits_2_before_writing(self, tmp_path, capsys, monkeypatch, threads):
+        cfg = write_cfg(tmp_path, GRAPH_CFG)
+        out = tmp_path / "r"
+        out.mkdir()
+        monkeypatch.setenv("ET_THREADS", threads)
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert repr(threads) in err
+        assert not any(out.iterdir())
+
     def test_graph_token_basis_outputs_deterministic(self, tmp_path):
         values = parse_config_text(GRAPH_TOKEN_CFG)
         assert values["y"] > values["d"]

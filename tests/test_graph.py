@@ -377,7 +377,7 @@ class TestTrainGraph:
     def test_nan_feature_diverges_before_any_update(self):
         g = path_graph(12, seed=3)
         g.features[4, 1] = np.nan
-        split = gr.SplitPlan(np.arange(6), np.arange(6, 9), np.arange(9, 12), 0.5)
+        split = gr.SplitPlan(np.arange(6), np.arange(6, 9), np.arange(9, 12))
         with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
             gr.train_graph(g, split, tiny_graph_params(g), gr.GraphTrainConfig(epochs=2))
 
