@@ -288,17 +288,6 @@ def _concat():
     return fwd, bwd
 
 
-@_op("leaf")
-def _leaf():
-    def fwd(ins, meta):
-        raise TapeError("leaf nodes are not recomputed")
-
-    def bwd(g, ins, out, meta):
-        return []
-
-    return fwd, bwd
-
-
 # ---------------------------------------------------------------------------
 # Tape and variables
 

@@ -112,8 +112,9 @@ class RunConfig:
             self.t = 6 if self.task == "image" else 1
         # sizes before the default beta = 1/sqrt(y) divides by one of them
         for name in (
-            "d", "h", "y", "m", "f", "channels", "patch_size", "image_size",
-            "batch_size", "n_seeds", "t", "fd_instances", "n_communities", "head_hidden",
+            "d", "h", "y", "m", "f", "channels", "patch_size", "image_size", "n_images",
+            "n_nodes", "batch_size", "n_seeds", "t", "fd_instances", "n_communities",
+            "head_hidden",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -273,10 +273,10 @@ def init_et_params(
     m: int,
     beta: float,
     mask_mode: MaskMode,
-    activation: Activation,
+    activation: Activation = Relu(),
     init_std: float,
-    enable_attn: bool,
-    enable_hopfield: bool,
+    enable_attn: bool = True,
+    enable_hopfield: bool = True,
 ) -> EtParams:
     """A block with keys, then queries, then memories drawn from
     N(0, init_std); layer-norm scale one and bias zero."""

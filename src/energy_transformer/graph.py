@@ -12,22 +12,15 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from ._kernels import stable_sigmoid
-from .core import (
-    EtParams,
-    GraphNeighborhood,
-    Relu,
-    et_unroll,
-    init_et_params,
-    layer_norm,
-    layer_norm_of,
-)
+from .core import EtParams, GraphNeighborhood, et_unroll, init_et_params, layer_norm
+from .core import layer_norm_of
 from .data import Rng, params_from_tensors, params_to_tensors
 from .errors import FormatError, InvalidInputError, MetricUndefinedError, ShapeError
 from .optim import TrainConfig as GraphTrainConfig, descend
@@ -54,8 +47,10 @@ class GraphInstance:
         self.labels = np.asarray(self.labels, dtype=np.intp)
         if self.features.shape[0] != self.n_nodes or self.labels.shape != (self.n_nodes,):
             raise ShapeError("features/labels do not match n_nodes")
-        if self.edges.size and self.edges.max() >= self.n_nodes:
+        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
             raise ShapeError("edge endpoint out of range")
+        if (self.edges[:, 0] == self.edges[:, 1]).any():
+            raise InvalidInputError("edges must not be self-loops")
         if not np.isin(self.labels, (0, 1)).all():
             raise InvalidInputError("labels must be binary")
 
@@ -158,35 +153,20 @@ class GraphTaskParams:
 def init_graph_params(
     g: GraphInstance,
     *,
-    d: int,
-    h: int,
-    y: int,
-    m: int,
-    beta: float,
     alpha: float,
     n_steps: int,
     hidden: int,
     include_self: bool = False,
-    enable_attn: bool = True,
-    enable_hopfield: bool = True,
-    activation=None,
     rng: np.random.Generator | None = None,
     init_std: float = 0.02,
+    **block,
 ) -> GraphTaskParams:
+    """The block from `init_et_params(**block)` under the graph's neighborhood
+    mask, then embeddings and head weights from N(0, init_std); biases zero."""
     rng = rng or np.random.default_rng(0)
-    et = init_et_params(
-        rng,
-        d=d,
-        h=h,
-        y=y,
-        m=m,
-        beta=beta,
-        mask_mode=GraphNeighborhood(adjacency_matrix(g, include_self=include_self)),
-        activation=activation or Relu(),
-        init_std=init_std,
-        enable_attn=enable_attn,
-        enable_hopfield=enable_hopfield,
-    )
+    mask_mode = GraphNeighborhood(adjacency_matrix(g, include_self=include_self))
+    et = init_et_params(rng, init_std=init_std, mask_mode=mask_mode, **block)
+    d = et.dim
     return GraphTaskParams(
         embed_kernel=rng.normal(0, init_std, (g.n_features, d)),
         pos_embed=rng.normal(0, init_std, (g.n_nodes, d)),
@@ -415,7 +395,7 @@ def run_graph_seed(
     rng = Rng(seed)
     split = make_split(g.n_nodes, train_ratio, rng.stream("graph-split"))
     params = init_graph_params(g, rng=rng.stream("graph-init"), **init_kwargs)
-    return train_graph(g, split, params, replace(cfg, seed=seed))
+    return train_graph(g, split, params, cfg)
 
 
 def run_graph_seeds(

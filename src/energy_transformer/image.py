@@ -125,8 +125,7 @@ class ImageTaskParams:
 
     enc_kernel: Array          # (P, D)
     enc_bias: Array            # (D,)
-    dec_norm_gamma: float
-    dec_norm_delta: Array      # (D,)
+    dec_norm: LayerNormParams
     dec_kernel: Array          # (D, P)
     dec_bias: Array            # (P,)
     mask_token: Array          # (D,)
@@ -136,7 +135,6 @@ class ImageTaskParams:
     n_steps: int
     k_h: int
     k_w: int
-    dec_norm_epsilon: float = 1e-5
 
     def __post_init__(self):
         d = self.et.dim
@@ -154,52 +152,28 @@ class ImageTaskParams:
     def n_tokens(self) -> int:
         return self.pos_bias.shape[0]
 
-    @property
-    def patch_size(self) -> int:
-        return self.enc_kernel.shape[0]
-
 
 def init_image_params(
     *,
     n_tokens: int,
     patch_size: int,
-    d: int,
-    h: int,
-    y: int,
-    m: int,
-    beta: float,
     alpha: float,
     n_steps: int,
     k_h: int,
     k_w: int,
-    mask_mode,
-    activation,
-    enable_attn: bool = True,
-    enable_hopfield: bool = True,
     rng: np.random.Generator | None = None,
     init_std: float = 0.02,
+    **block,
 ) -> ImageTaskParams:
-    """Kernels, memories, mask token, and position bias from N(0, init_std);
-    biases zero; layer-norm scale one."""
+    """The block from `init_et_params(**block)`, then kernels, mask token,
+    and position bias from N(0, init_std); biases zero; layer-norm scale one."""
     rng = rng or np.random.default_rng(0)
-    et = init_et_params(
-        rng,
-        d=d,
-        h=h,
-        y=y,
-        m=m,
-        beta=beta,
-        mask_mode=mask_mode,
-        activation=activation,
-        init_std=init_std,
-        enable_attn=enable_attn,
-        enable_hopfield=enable_hopfield,
-    )
+    et = init_et_params(rng, init_std=init_std, **block)
+    d = et.dim
     return ImageTaskParams(
         enc_kernel=rng.normal(0, init_std, (patch_size, d)),
         enc_bias=np.zeros(d),
-        dec_norm_gamma=1.0,
-        dec_norm_delta=np.zeros(d),
+        dec_norm=LayerNormParams(gamma=1.0, delta=np.zeros(d)),
         dec_kernel=rng.normal(0, init_std, (d, patch_size)),
         dec_bias=np.zeros(patch_size),
         mask_token=rng.normal(0, init_std, d),
@@ -217,8 +191,8 @@ def init_image_params(
 IMAGE_TENSORS = (
     ("enc.kernel", "enc_kernel", False),
     ("enc.bias", "enc_bias", True),
-    ("dec.norm.gamma", "dec_norm_gamma", True),
-    ("dec.norm.delta", "dec_norm_delta", True),
+    ("dec.norm.gamma", "dec_norm.gamma", True),
+    ("dec.norm.delta", "dec_norm.delta", True),
     ("dec.kernel", "dec_kernel", False),
     ("dec.bias", "dec_bias", True),
     ("mask_token", "mask_token", True),
@@ -262,10 +236,7 @@ def encode_and_mask(grid: PatchGrid, plan: MaskPlan, p: ImageTaskParams) -> Arra
 
 def decode_tokens(x: Array, p: ImageTaskParams) -> Array:
     """Decoder: layer norm then affine projection back to patch space."""
-    norm = LayerNormParams(
-        gamma=p.dec_norm_gamma, delta=p.dec_norm_delta, epsilon=p.dec_norm_epsilon
-    )
-    return np.matmul(layer_norm(x, norm), p.dec_kernel) + p.dec_bias
+    return np.matmul(layer_norm(x, p.dec_norm), p.dec_kernel) + p.dec_bias
 
 
 def reconstruct(
@@ -323,7 +294,7 @@ def image_loss_fn(
     x = ad.where_rows(enc, pv["mask_token"], replaced)
     x = x + pv["pos_bias"]
     x = et_unroll_v(x, pv, spec.et, spec.n_steps, spec.alpha)
-    g = layer_norm_of(x, pv["dec.norm.gamma"], pv["dec.norm.delta"], spec.dec_norm_epsilon)
+    g = layer_norm_of(x, pv["dec.norm.gamma"], pv["dec.norm.delta"], spec.dec_norm.epsilon)
     recon = ad.matmul(g, pv["dec.kernel"]) + pv["dec.bias"]
     sq = (recon - pc) ** 2
     weights = tape.constant(occluded[..., None].astype(np.float64))

@@ -450,8 +450,8 @@ class TestAttentionTerms:
 
 
 def test_every_primitive_has_a_finite_difference_test(monkeypatch):
-    """Walks the primitive registry: every primitive but `leaf` is recorded
-    by some `TestPrimitives.check` call, the direct FD test of its VJP."""
+    """Walks the primitive registry: every primitive is recorded by some
+    `TestPrimitives.check` call, the direct FD test of its VJP."""
     recorded = set()
 
     def record_ops(self, build, args, seed=0):
@@ -463,7 +463,7 @@ def test_every_primitive_has_a_finite_difference_test(monkeypatch):
         if name.startswith("test_") and list(inspect.signature(test).parameters) == ["self"]:
             test(TestPrimitives())
     TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
-    missing = set(ad._OPS) - {"leaf"} - recorded
+    missing = set(ad._OPS) - recorded
     assert not missing, f"primitives with no finite-difference test: {sorted(missing)}"
 
 

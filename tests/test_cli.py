@@ -407,13 +407,17 @@ class TestCliErrors:
             ("train", GRAPH_CFG + "n_seeds=0\n"),
             ("train", IMAGE_CFG + "t=0\n"),
             ("verify-grad", "fd_instances=0\n"),
+            ("train", GRAPH_CFG + "n_nodes=0\n"),
+            ("train", IMAGE_CFG + "n_images=0\n"),
         ],
-        ids=["batch_size", "n_seeds", "t", "fd_instances"],
+        ids=["batch_size", "n_seeds", "t", "fd_instances", "n_nodes", "n_images"],
     )
-    def test_zero_count_exits_2(self, tmp_path, command, cfg_text):
+    def test_zero_count_exits_2(self, tmp_path, capsys, command, cfg_text):
         cfg = write_cfg(tmp_path, cfg_text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "command, cfg_text",

@@ -244,15 +244,18 @@ def _image_params():
     )
 
 
-def _graph_params():
-    g = gr.GraphInstance(
+def _path_graph():
+    return gr.GraphInstance(
         n_nodes=4,
         edges=np.array([[0, 1], [1, 2], [2, 3]]),
         features=np.random.default_rng(1).normal(0, 1, (4, 3)),
         labels=np.array([0, 1, 0, 1]),
     )
+
+
+def _graph_params():
     return gr.init_graph_params(
-        g, d=4, h=2, y=2, m=3, beta=0.9, alpha=0.3, n_steps=1, hidden=4,
+        _path_graph(), d=4, h=2, y=2, m=3, beta=0.9, alpha=0.3, n_steps=1, hidden=4,
         rng=np.random.default_rng(0),
     )
 
@@ -262,6 +265,46 @@ TASKS = {
     "image": (_image_params, im.image_params_to_tensors, im.image_params_from_tensors),
     "graph": (_graph_params, gr.graph_params_to_tensors, gr.graph_params_from_tensors),
 }
+
+
+class TestInitializerDefaults:
+    """The benchmark's flat initializer calls leave the block's defaults to
+    `core.init_et_params`; spelling them out gives the same parameters."""
+
+    @staticmethod
+    def assert_same(a, b, to_tensors):
+        ta, tb = to_tensors(a), to_tensors(b)
+        assert list(ta) == list(tb)
+        for name in ta:
+            npt.assert_array_equal(ta[name], tb[name], err_msg=name)
+        assert a.et.hopfield.activation == b.et.hopfield.activation == Relu()
+        assert a.et.enable_attn and a.et.enable_hopfield
+        assert (a.alpha, a.n_steps) == (b.alpha, b.n_steps)
+
+    def test_image(self):
+        flat = dict(
+            n_tokens=4, patch_size=6, d=5, h=2, y=2, m=3, beta=0.8, alpha=0.1,
+            n_steps=2, k_h=1, k_w=6, mask_mode=ExcludeSelf(), activation=Relu(),
+        )
+        a = im.init_image_params(rng=np.random.default_rng(0), **flat)
+        b = im.init_image_params(
+            rng=np.random.default_rng(0), init_std=0.02, enable_attn=True,
+            enable_hopfield=True, **flat,
+        )
+        self.assert_same(a, b, im.image_params_to_tensors)
+        assert a.et.attn.mask_mode == b.et.attn.mask_mode == ExcludeSelf()
+
+    def test_graph(self):
+        g = _path_graph()
+        flat = dict(d=4, h=2, y=2, m=3, beta=0.9, alpha=0.3, n_steps=1, hidden=4, init_std=0.1)
+        a = gr.init_graph_params(g, rng=np.random.default_rng(0), **flat)
+        b = gr.init_graph_params(
+            g, rng=np.random.default_rng(0), activation=Relu(), include_self=False,
+            enable_attn=True, enable_hopfield=True, **flat,
+        )
+        self.assert_same(a, b, gr.graph_params_to_tensors)
+        npt.assert_array_equal(a.et.attn.mask_mode.adjacency, gr.adjacency_matrix(g))
+        npt.assert_array_equal(b.et.attn.mask_mode.adjacency, gr.adjacency_matrix(g))
 
 
 class TestTensorTables:

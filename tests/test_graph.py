@@ -48,6 +48,24 @@ class TestGraphInstance:
                 labels=np.array([0, 2]),
             )
 
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([[-1, 0], [0, 1]], ShapeError),  # -1 would index node 2
+            ([[0, 3]], ShapeError),
+            ([[0, 0], [0, 1]], InvalidInputError),  # a loop is self-attention
+        ],
+        ids=["negative", "past_end", "loop"],
+    )
+    def test_rejects_edges_it_would_misread(self, edges, error):
+        with pytest.raises(error):
+            gr.GraphInstance(
+                n_nodes=3,
+                edges=np.array(edges),
+                features=np.zeros((3, 1)),
+                labels=np.array([0, 1, 0]),
+            )
+
     def test_normalize_edges_dedups_and_drops_loops(self):
         edges = np.array([[0, 1], [1, 0], [2, 2], [1, 2], [1, 2]])
         out = gr.normalize_edges(edges, 3)

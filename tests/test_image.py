@@ -472,13 +472,11 @@ class TestWeightExport:
         p = tiny_params(patch=5, d=5)
         p.dec_kernel = np.eye(5)
         p.dec_bias = np.zeros(5)
-        p.dec_norm_gamma = 1.0
-        p.dec_norm_delta = np.zeros(5)
-        grid = im.export_weights_as_patches(p, "hopfield")
         from energy_transformer.core import LayerNormParams, layer_norm
 
-        norm = LayerNormParams(gamma=1.0, delta=np.zeros(5), epsilon=p.dec_norm_epsilon)
-        npt.assert_array_equal(grid.patches, layer_norm(p.et.hopfield.xi, norm))
+        p.dec_norm = LayerNormParams(1.0, np.zeros(5))
+        grid = im.export_weights_as_patches(p, "hopfield")
+        npt.assert_array_equal(grid.patches, layer_norm(p.et.hopfield.xi, p.dec_norm))
 
     def test_memory_count_and_patch_size(self):
         p = tiny_params()
