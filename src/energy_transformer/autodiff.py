@@ -11,8 +11,9 @@ The primitive set is closed: model code must be composed from the functions
 in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
 `**`, unary `-`, `transpose`, `swapaxes`, `reshape`, `sum`), each of which
 records one of these primitives (`-x` is `scale` by -1.0).  So `core`
-writes the block once in ndarray idiom and runs it on arrays for inference
-and on Vars for training.  Every primitive's forward calls the same numpy
+writes the block's update once in ndarray idiom and runs it on arrays for
+inference and on Vars for training.  Training never differentiates the
+energy, so the tape has no log-sum-exp primitive.  Every primitive's forward calls the same numpy
 kernels as the analytic inference path, so recorded values agree with
 direct evaluation to the last bit.
 Gradients are exact up to round-off: the masked-softmax VJP on a sparse
@@ -235,17 +236,6 @@ def _attention_terms():
         gg = (a @ dut + a.swapaxes(-1, -2) @ dvt).sum(axis=-3).swapaxes(-1, -2)
         ga = gt @ dut.swapaxes(-1, -2) + dvt @ g[..., None, :, :]
         return [gg, _unbroadcast(ga, a.shape), gw]
-
-    return fwd, bwd
-
-
-@_op("masked_logsumexp")
-def _masked_logsumexp():
-    fwd = lambda ins, meta: K.masked_logsumexp(ins[0], meta["mask"])
-
-    def bwd(g, ins, out, meta):
-        w = K.masked_softmax(ins[0], meta["mask"])
-        return [np.multiply(w, g[..., None], out=w)]
 
     return fwd, bwd
 
@@ -477,10 +467,6 @@ def masked_softmax(a: Var, mask: Array | None) -> Var:
 def attention_terms(g: Var, a: Var, w: Var) -> Var:
     """Attention's "from" plus "to" term (see `_kernels.attention_terms`)."""
     return g.tape._push("attention_terms", (g, a, w), {})
-
-
-def masked_logsumexp(a: Var, mask: Array | None) -> Var:
-    return a.tape._push("masked_logsumexp", (a,), {"mask": mask})
 
 
 def gather(a: Var, idx: Array) -> Var:

@@ -114,9 +114,17 @@ def _graph_init_kwargs(cfg: RunConfig) -> dict:
     )
 
 
+def _fitting_images(images: Array, cfg: RunConfig, source: str) -> Array:
+    """`images` if their (C, H, W) is the config's, else a ConfigError."""
+    want = (cfg.channels, cfg.image_size, cfg.image_size)
+    if images.shape[-3:] != want:
+        raise ConfigError(f"{source}: images are {images.shape[-3:]}, the config expects {want}")
+    return images
+
+
 def _load_images(cfg: RunConfig) -> Array:
     if cfg.data_dir:
-        return load_image_dataset(cfg.data_dir)
+        return _fitting_images(load_image_dataset(cfg.data_dir), cfg, cfg.data_dir)
     return gen_synthetic_images(
         cfg.seed, cfg.n_images, size=cfg.image_size, channels=cfg.channels
     )
@@ -275,7 +283,7 @@ def cmd_dump_energy(args) -> int:
     if cfg.task == "image":
         params = _checkpoint_params(cfg)
         if args.input:
-            image = load_netpbm(args.input)
+            image = _fitting_images(load_netpbm(args.input), cfg, args.input)
         else:
             image = gen_synthetic_images(
                 cfg.seed, 1, size=cfg.image_size, channels=cfg.channels
@@ -390,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, EtError) as exc:

@@ -12,9 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import ExcludeSelf, IncludeSelf, Power, Relu, Softmax, default_beta
 from .errors import ConfigError
 
 _AUTO = "auto"
+# key -> (image, graph) value of a key left at auto; beta is 1/sqrt(y)
+_TASK_DEFAULTS = {
+    "d": (64, 32), "h": (4, 2), "y": (16, 64), "m": (256, 64), "alpha": (0.1, 1.0),
+    "t": (6, 1), "weight_decay": (0.05, 0.0), "epochs": (40, 100), "init_std": (0.02, 0.1),
+}
 
 
 def _parse_bool(s: str) -> bool:
@@ -36,7 +42,7 @@ class RunConfig:
     """Every tunable of the artifact, with desk-scale defaults."""
 
     task: str = "image"              # image | graph
-    # model dims (auto: image d64/h4/y16/m256, graph d32/h2/y64/m64)
+    # model dims; an auto value resolves per task from _TASK_DEFAULTS
     d: int | str = _AUTO
     h: int | str = _AUTO
     y: int | str = _AUTO
@@ -50,22 +56,22 @@ class RunConfig:
     channels: int = 1
     patch_size: int = 8
     # dynamics
-    alpha: float | str = _AUTO       # image 0.1, graph 1.0
-    t: int | str = _AUTO             # image 6, graph 1
+    alpha: float | str = _AUTO
+    t: int | str = _AUTO
     beta: float | str = _AUTO        # 1/sqrt(y)
     enable_attn: bool = True
     enable_hopfield: bool = True
     allow_self_attention: bool = False  # image IncludeSelf, graph self-loops
     hn_activation: str = "relu"      # relu | power:<n> | softmax:<beta>
     # optimization
-    init_std: float | str = _AUTO    # image 0.02, graph 0.1
+    init_std: float | str = _AUTO
     lr: float = 1e-3
     b1: float = 0.9
     b2: float = 0.99
-    weight_decay: float | str = _AUTO  # image 0.05, graph 0.0
+    weight_decay: float | str = _AUTO
     grad_clip: float | None = 1.0
     warmup_steps: int = 0
-    epochs: int | str = _AUTO        # image 40, graph 100
+    epochs: int | str = _AUTO
     batch_size: int = 16
     max_steps: int = 0               # 0 -> unlimited
     # masking
@@ -98,18 +104,9 @@ class RunConfig:
         if self.task not in ("image", "graph"):
             raise ConfigError(f"task must be image or graph, got {self.task!r}")
         image = self.task == "image"
-        if self.d == _AUTO:
-            self.d = 64 if image else 32
-        if self.h == _AUTO:
-            self.h = 4 if image else 2
-        if self.y == _AUTO:
-            self.y = 16 if image else 64
-        if self.m == _AUTO:
-            self.m = 256 if image else 64
-        if self.alpha == _AUTO:
-            self.alpha = 0.1 if self.task == "image" else 1.0
-        if self.t == _AUTO:
-            self.t = 6 if self.task == "image" else 1
+        for name, defaults in _TASK_DEFAULTS.items():
+            if getattr(self, name) == _AUTO:
+                setattr(self, name, defaults[0 if image else 1])
         # sizes before the default beta = 1/sqrt(y) divides by one of them
         for name in (
             "d", "h", "y", "m", "f", "channels", "patch_size", "image_size", "n_images",
@@ -119,13 +116,9 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.beta == _AUTO:
-            self.beta = 1.0 / float(np.sqrt(self.y))
-        if self.weight_decay == _AUTO:
-            self.weight_decay = 0.05 if self.task == "image" else 0.0
-        if self.epochs == _AUTO:
-            self.epochs = 40 if self.task == "image" else 100
-        if self.init_std == _AUTO:
-            self.init_std = 0.02 if self.task == "image" else 0.1
+            self.beta = default_beta(self.y)
+        if not (self.enable_attn or self.enable_hopfield):
+            raise ConfigError("enable_attn and enable_hopfield cannot both be false")
         for name in (
             "epochs", "max_steps", "weight_decay", "alpha", "warmup_steps",
         ):
@@ -172,8 +165,6 @@ class RunConfig:
         return self.channels * self.patch_size * self.patch_size
 
     def activation(self):
-        from .core import Power, Relu, Softmax
-
         spec = self.hn_activation
         name, _, arg = spec.partition(":")
         try:
@@ -188,8 +179,6 @@ class RunConfig:
         raise ConfigError(f"unknown hn_activation {spec!r}")
 
     def image_mask_mode(self):
-        from .core import ExcludeSelf, IncludeSelf
-
         return IncludeSelf() if self.allow_self_attention else ExcludeSelf()
 
 
@@ -232,7 +221,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        values.update(parse_config_text(p.read_text(), str(path)))
+        try:
+            values.update(parse_config_text(p.read_text(encoding="utf-8"), str(path)))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     if overrides:
         for key in overrides:
             if key not in _PARSERS:

@@ -13,12 +13,13 @@ to the raw ones.  Because the layer-norm Jacobian is positive semi-definite,
 the continuous-time energy never increases, and the discrete dynamics is
 non-increasing for small enough step size.
 
-All functions here are pure.  The block's math (`layer_norm_of`,
-`scores_of`, the attention and Hopfield `*_energy_of`/`*_update_of`) is
-written once on raw tensors: float64 numpy arrays for inference, or tape
-`Var`s, on which the same code records the training pass (see `unroll`).
-The public functions that take parameter objects check their inputs and
-run that math on arrays.
+All functions here are pure.  The block's update math (`layer_norm_of`,
+`scores_of`, `attention_update_of`, `hopfield_update_of`) is written once
+on raw tensors: float64 numpy arrays for inference, or tape `Var`s, on
+which the same code records the training pass (see `unroll`).  Training
+differentiates the unrolled updates, never the energy, so the energies
+are array functions only.  The public functions that take parameter
+objects check their inputs and run that math on arrays.
 
 Attention sees its key and query weights only through K . Q = g^T A_h g,
 with one (D, D) form A_h = wq_h^T wk_h per head.  `scores_of` picks the
@@ -217,7 +218,7 @@ class AttentionParams:
 
 def default_beta(y: int) -> float:
     """Default inverse temperature 1/sqrt(Y); 1/8 at the base Y=64."""
-    return 1.0 / np.sqrt(y)
+    return 1.0 / math.sqrt(y)
 
 
 @dataclass
@@ -404,33 +405,12 @@ def scores_of(g, w_key, w_query, beta):
     return scores, term_from, lambda w: (term_from(w) + term_to(w)).sum(axis=-3)
 
 
-def attention_energy_of(g, w_key, w_query, beta, mask):
-    """-(1/beta) * sum over heads and tokens of the masked log-sum-exp."""
-    scores, *_ = scores_of(g, w_key, w_query, beta)
-    return (-1.0 / beta) * _ops(g).masked_logsumexp(scores, mask).sum()
-
-
 def attention_update_of(g, w_key, w_query, beta, mask):
     """-dE/dg of the attention energy: the "from" plus the "to" term."""
     scores, _, update = scores_of(g, w_key, w_query, beta)
     if isinstance(g, ad.Var):
         return update(ad.masked_softmax(scores, mask))
     return update(_kernels.masked_softmax(scores, mask, out=scores))  # scores are ours alone
-
-
-def hopfield_energy_of(g, xi, activation: Activation):
-    """-1/n sum relu(g xi^T)^n (n=2 for Relu), or the per-token log-sum-exp."""
-    hid = g @ xi.transpose(1, 0)
-    if isinstance(activation, Softmax):
-        lse = _ops(g).masked_logsumexp(activation.beta * hid, None)
-        return (-1.0 / activation.beta) * lse.sum()
-    if isinstance(activation, Relu):
-        n = 2
-    elif isinstance(activation, Power):
-        n = activation.n
-    else:
-        raise TypeError(f"unknown activation {activation!r}")
-    return (-1.0 / n) * (_ops(g).relu(hid) ** n).sum()
 
 
 def hopfield_update_of(g, xi, activation: Activation):
@@ -463,7 +443,8 @@ def attention_energy(g: Array, a: AttentionParams) -> float:
         E = -(1/beta) * sum_h sum_C log sum_{B in mask(C)} exp(beta K_hB . Q_hC)
     """
     g = _check_finite(g, "attention input")
-    return float(attention_energy_of(g, a.w_key, a.w_query, a.beta, _attention_mask(g, a)))
+    scores, *_ = scores_of(g, a.w_key, a.w_query, a.beta)
+    return float((-1.0 / a.beta) * _kernels.masked_logsumexp(scores, _attention_mask(g, a)).sum())
 
 
 def attention_grad(g: Array, a: AttentionParams) -> Array:
@@ -490,9 +471,23 @@ def attention_from_term(g: Array, a: AttentionParams) -> Array:
 # Hopfield (associative memory) energy and gradient
 
 def hopfield_energy(g: Array, h: HopfieldParams) -> float:
-    """Memory energy of normalized tokens; low when tokens align with rows of xi."""
+    """Memory energy of normalized tokens; low when tokens align with rows of xi.
+
+    -1/n sum relu(g xi^T)^n (n=2 for Relu), or for Softmax the per-token
+    log-sum-exp -(1/beta) sum log sum exp(beta g xi^T).
+    """
     g = _check_finite(g, "hopfield input")
-    return float(hopfield_energy_of(g, h.xi, h.activation))
+    hid = g @ h.xi.transpose(1, 0)
+    act = h.activation
+    if isinstance(act, Softmax):
+        return float((-1.0 / act.beta) * _kernels.masked_logsumexp(act.beta * hid, None).sum())
+    if isinstance(act, Relu):
+        n = 2
+    elif isinstance(act, Power):
+        n = act.n
+    else:
+        raise TypeError(f"unknown activation {act!r}")
+    return float((-1.0 / n) * (_kernels.relu(hid) ** n).sum())
 
 
 def hopfield_grad(g: Array, h: HopfieldParams) -> Array:

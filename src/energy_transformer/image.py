@@ -147,6 +147,8 @@ class ImageTaskParams:
             raise ShapeError("encoder/decoder bias shapes inconsistent")
         if self.mask_token.shape != (d,) or self.pos_bias.shape[1] != d:
             raise ShapeError("mask token / position bias shapes inconsistent")
+        if self.dec_norm.dim != d:
+            raise ShapeError(f"decoder norm dim {self.dec_norm.dim} != {d}")
 
     @property
     def n_tokens(self) -> int:

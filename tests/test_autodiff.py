@@ -157,11 +157,10 @@ class TestPrimitives:
             {"a": (4, 5)},
         )
 
-    def test_masked_softmax_and_lse(self):
+    def test_masked_softmax(self):
         mask = ~np.eye(4, dtype=bool)
         self.check(
-            lambda t, pv: ad.sum_(ad.masked_softmax(pv["s"], mask) ** 2)
-            + ad.sum_(ad.masked_logsumexp(pv["s"], mask)),
+            lambda t, pv: ad.sum_(ad.masked_softmax(pv["s"], mask) ** 2),
             {"s": (2, 4, 4)},
         )
 
@@ -182,24 +181,6 @@ class TestPrimitives:
 
 
 class TestRecordForward:
-    def test_energy_value_matches_direct_evaluation(self):
-        rng = np.random.default_rng(1)
-        d = 5
-        p = core.EtParams(
-            norm=core.LayerNormParams(gamma=1.0, delta=np.zeros(d)),
-            attn=core.AttentionParams(
-                w_key=rng.normal(0, 0.5, (2, 2, d)),
-                w_query=rng.normal(0, 0.5, (2, 2, d)),
-                beta=0.9,
-            ),
-            hopfield=core.HopfieldParams(xi=rng.normal(0, 0.5, (3, d))),
-        )
-        x = rng.normal(0, 1, (4, d))
-        loss, _ = ad.record_forward(
-            lambda tape, pv: _energy_v(tape.constant(x), pv, p), _block_tensors(p)
-        )
-        assert loss == core.total_energy(x, p).e_total
-
     def test_constant_loss_gives_zero_gradients(self):
         def fn(tape, pv):
             return ad.sum_(tape.constant(np.array([1.0, 2.0])))
@@ -279,19 +260,6 @@ def _block_tensors(et):
     }
 
 
-def _energy_v(x, pv, et):
-    """The block's total energy at Var x, composed from core's energy terms
-    the way core.total_energy composes them."""
-    g = core.layer_norm_of(x, pv["et.norm.gamma"], pv["et.norm.delta"], et.norm.epsilon)
-    mask = core.mask_matrix(et.attn.mask_mode, x.shape[-2])
-    w_key, w_query = pv["et.attn.w_key"], pv["et.attn.w_query"]
-    e_att = core.attention_energy_of(g, w_key, w_query, et.attn.beta, mask)
-    e_hn = core.hopfield_energy_of(g, pv["et.hopfield.xi"], et.hopfield.activation)
-    if not et.enable_attn:
-        return e_hn
-    return e_att + e_hn if et.enable_hopfield else e_att
-
-
 def _taped(build, x, et, **kwargs):
     tape = ad.Tape()
     pv = {name: tape.param(name, v) for name, v in _block_tensors(et).items()}
@@ -303,7 +271,7 @@ def _tape_step(x, pv, et, alpha, beta_var):
 
 
 class TestCoreTapeBitIdentity:
-    """The taped step and energy equal the analytic ones to the last bit."""
+    """The taped step equals the analytic one to the last bit."""
 
     def check(self, et, lead, beta_var):
         n, alpha = 6, 0.1
@@ -311,8 +279,6 @@ class TestCoreTapeBitIdentity:
         stepped = _taped(_tape_step, x, et, alpha=alpha, beta_var=beta_var)
         for i in np.ndindex(lead):
             assert np.array_equal(stepped[i], core.et_step(x[i], et, alpha)), i
-            energy = _taped(_energy_v, x[i], et)
-            assert energy == core.total_energy(x[i], et).e_total, i
 
     @pytest.mark.parametrize("beta_var", [False, True], ids=["beta_float", "beta_var"])
     @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["2d", "batch1", "batch3"])

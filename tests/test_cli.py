@@ -13,7 +13,12 @@ from energy_transformer import image as im
 from energy_transformer.cli import main
 from energy_transformer.config import RunConfig, format_resolved, load_config, parse_config_text
 from energy_transformer.core import ExcludeSelf, IncludeSelf
-from energy_transformer.data import gen_synthetic_images, load_netpbm, save_image_dataset
+from energy_transformer.data import (
+    gen_synthetic_images,
+    load_netpbm,
+    save_image_dataset,
+    save_netpbm,
+)
 from energy_transformer.errors import ConfigError
 
 
@@ -560,6 +565,7 @@ class TestTrainConfigFromRunConfig:
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    return err
 
 
 VALID_GRAPH_DIR = {
@@ -698,3 +704,82 @@ class TestBadInputFilesExit2:
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
         assert f"tensor {tensor!r}" in err, err
         assert not (ev / "eval.csv").exists()
+
+
+class TestPathAndFitMistakesExit2:
+    """A path of the wrong kind, a config the block cannot run, or images
+    that do not fit the config: exit 2, one error line, no checkpoint."""
+
+    @staticmethod
+    def _checkpoint(tmp_path, capsys):
+        cfg = write_cfg(tmp_path, IMAGE_CFG + "epochs=0\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        return str(tmp_path / "run" / "checkpoint.bin")
+
+    @pytest.mark.parametrize(
+        "cfg_text, argv",
+        [
+            (IMAGE_CFG, ["eval", "--checkpoint", "{tmp}"]),
+            (IMAGE_CFG, ["train", "--out", "{cfg}"]),
+            (IMAGE_CFG + "data_dir={cfg}\n", ["train"]),
+            (GRAPH_CFG + "data_dir={cfg}\n", ["train"]),
+            (IMAGE_CFG, ["dump-energy", "--checkpoint", "{ck}", "--input", "{tmp}"]),
+        ],
+        ids=[
+            "checkpoint_is_dir", "out_is_file", "image_data_dir_is_file",
+            "graph_data_dir_is_file", "input_is_dir",
+        ],
+    )
+    def test_path_of_the_wrong_kind(self, tmp_path, capsys, cfg_text, argv):
+        ck = self._checkpoint(tmp_path, capsys) if "{ck}" in argv else ""
+        cfg = str(tmp_path / "run.cfg")
+        Path(cfg).write_text(cfg_text.replace("{cfg}", cfg))
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("{cfg}", cfg).replace("{ck}", ck) for a in argv]
+        out = tmp_path / "r"
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        _assert_one_error_line(capsys)
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("mistake", ["config_is_dir", "config_not_utf8", "no_module_enabled"])
+    def test_config_mistake_writes_nothing(self, tmp_path, capsys, mistake):
+        cfg = tmp_path / "run.cfg"
+        if mistake == "config_is_dir":
+            cfg.mkdir()
+        elif mistake == "config_not_utf8":
+            cfg.write_bytes(IMAGE_CFG.encode() + b"# caf\xe9\n")
+        else:
+            cfg.write_text(IMAGE_CFG + "enable_attn=false\nenable_hopfield=false\n")
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = _assert_one_error_line(capsys)
+        assert mistake == "no_module_enabled" or str(cfg) in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("channels, size", [(3, 8), (1, 12)], ids=["rgb", "12x12"])
+    def test_data_dir_that_does_not_fit(self, tmp_path, capsys, command, channels, size):
+        ck = ["--checkpoint", self._checkpoint(tmp_path, capsys)] if command == "eval" else []
+        d = tmp_path / "ds"
+        save_image_dataset(d, gen_synthetic_images(0, 4, size=size, channels=channels))
+        cfg = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={d}\n")
+        out = tmp_path / "r"
+        assert main([command, "--config", cfg, "--out", str(out), *ck]) == 2
+        err = _assert_one_error_line(capsys)
+        assert str(d) in err and f"({channels}, {size}, {size})" in err and "(1, 8, 8)" in err
+        assert not (out / "checkpoint.bin").exists() and not (out / "eval.csv").exists()
+
+    @pytest.mark.parametrize("channels, size", [(3, 8), (1, 12)], ids=["rgb", "12x12"])
+    def test_input_image_that_does_not_fit(self, tmp_path, capsys, channels, size):
+        ck = self._checkpoint(tmp_path, capsys)
+        image = tmp_path / ("in.ppm" if channels == 3 else "in.pgm")
+        save_netpbm(image, gen_synthetic_images(0, 1, size=size, channels=channels)[0])
+        cfg = write_cfg(tmp_path, IMAGE_CFG)
+        out = tmp_path / "r"
+        argv = ["dump-energy", "--config", cfg, "--checkpoint", ck, "--input", str(image)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = _assert_one_error_line(capsys)
+        assert str(image) in err and "(1, 8, 8)" in err, err
+        assert not (out / "energy.csv").exists()

@@ -1,5 +1,7 @@
 """Patch pipeline, mask plans, reconstruction, masked loss, training step."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -184,6 +186,13 @@ class TestMaskedMse:
                 ) / (2 * h)
         assert np.all(fd[[0, 2, 3]] == 0.0)
         assert np.all(np.abs(fd[[1, 4]]) > 1e-3)
+
+
+class TestTaskParams:
+    def test_decoder_norm_of_another_width_rejected(self):
+        p = tiny_params()
+        with pytest.raises(ShapeError, match="decoder norm dim 3 != 5"):
+            dataclasses.replace(p, dec_norm=core.LayerNormParams(1.0, np.zeros(3)))
 
 
 class TestReconstruct:
