@@ -162,9 +162,7 @@ def _sum():
 
     def bwd(g, ins, out, meta):
         axis = meta["axis"]
-        if axis is None:
-            return [np.broadcast_to(g, ins[0].shape).copy()]
-        g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, () if axis is None else axis)
         return [np.broadcast_to(g, ins[0].shape).copy()]
 
     return fwd, bwd

@@ -230,14 +230,8 @@ def check_bptt_graph(
     return reports
 
 
-def check_energy_descent(
-    n_instances: int = 100,
-    seed0: int = 0,
-    n_steps: int = 12,
-    alpha0: float = 0.1,
-    slack: float = 1e-9,
-) -> tuple[int, int]:
-    """Count instances monotone at alpha0 and monotone after halving.
+def check_energy_descent(n_instances: int = 100, seed0: int = 0) -> tuple[int, int]:
+    """Count instances monotone at core.DESCENT_ALPHA0 and monotone after halving.
 
     Returns (monotone_at_alpha0, monotone_after_halving); the latter should
     equal n_instances.  Instances use training-scale weights, where the
@@ -262,10 +256,10 @@ def check_energy_descent(
         )
         x0 = rng.normal(0, 1, (n, d))
         try:
-            alpha, _ = core.find_monotone_alpha(x0, p, n_steps, alpha0, slack)
+            alpha, _ = core.find_monotone_alpha(x0, p)
         except InvalidInputError:  # no monotone step size within the halvings
             continue
-        at_alpha0 += alpha == alpha0
+        at_alpha0 += alpha == core.DESCENT_ALPHA0
         after_halving += 1
     return at_alpha0, after_halving
 

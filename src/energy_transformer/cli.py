@@ -30,7 +30,7 @@ from .data import (
     save_image_dataset,
     save_netpbm,
 )
-from .errors import ConfigError, DivergenceError, EtError, FormatError, ShapeError
+from .errors import ConfigError, EtError, FormatError, ShapeError
 from .core import et_forward
 
 Array = np.ndarray
@@ -191,8 +191,7 @@ def cmd_verify_grad(args) -> int:
     return 0
 
 
-def _train_image(cfg: RunConfig, out: Path) -> int:
-    images = _load_images(cfg)
+def _train_image(cfg: RunConfig, images: Array, out: Path) -> int:
     params = _image_params_template(cfg)
     trained, history = im.train_image(images, params, _train_config(im.ImageTrainConfig, cfg))
     save_checkpoint(im.image_params_to_tensors(trained), out / "checkpoint.bin")
@@ -205,8 +204,7 @@ def _train_image(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _train_graph(cfg: RunConfig, out: Path) -> int:
-    g = _load_graph(cfg)
+def _train_graph(cfg: RunConfig, g: gr.GraphInstance, out: Path) -> int:
     seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
     report = gr.run_graph_seeds(
         g,
@@ -236,21 +234,23 @@ def _train_graph(cfg: RunConfig, out: Path) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    if cfg.task == "graph":
-        _threads()  # a bad ET_THREADS fails before anything is written
+    # bad data, like a bad ET_THREADS, fails before anything is written
+    if cfg.task == "image":
+        data, train = _load_images(cfg), _train_image
+    else:
+        _threads()
+        data, train = _load_graph(cfg), _train_graph
     out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
-    if cfg.task == "image":
-        return _train_image(cfg, out)
-    return _train_graph(cfg, out)
+    return train(cfg, data, out)
 
 
 def cmd_eval(args) -> int:
     cfg = _config(args)
     if cfg.task == "image":
         params = _checkpoint_params(cfg)
-        out = _out_dir(args, cfg)
         images = _load_images(cfg)
+        out = _out_dir(args, cfg)
         mse = im.eval_masked_mse(
             images,
             params,
@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, EtError) as exc:
+    except EtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,8 +110,7 @@ class RunConfig:
         # sizes before the default beta = 1/sqrt(y) divides by one of them
         for name in (
             "d", "h", "y", "m", "f", "channels", "patch_size", "image_size", "n_images",
-            "n_nodes", "batch_size", "n_seeds", "t", "fd_instances", "n_communities",
-            "head_hidden",
+            "n_nodes", "batch_size", "n_seeds", "t", "fd_instances", "head_hidden",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -141,10 +140,10 @@ class RunConfig:
             raise ConfigError(f"need 0 < train_ratio < 1, got {self.train_ratio}")
         if not (0 < self.anomaly_rate < 0.5):
             raise ConfigError(f"need 0 < anomaly_rate < 0.5, got {self.anomaly_rate}")
-        if self.n_communities > self.f:
-            raise ConfigError(
-                f"n_communities ({self.n_communities}) must be <= f ({self.f})"
-            )
+        if not (2 <= self.n_communities <= self.f):
+            raise ConfigError(f"need 2 <= n_communities ({self.n_communities}) <= f ({self.f})")
+        if not np.isfinite(self.shift):
+            raise ConfigError(f"shift must be finite, got {self.shift}")
         self.activation()  # parses and range-checks hn_activation
         if image and not (0 <= self.n_replaced <= self.n_occluded <= self.n_tokens):
             raise ConfigError(

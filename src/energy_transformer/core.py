@@ -67,9 +67,10 @@ class GraphNeighborhood:
 
     `adjacency` is a symmetric boolean (N, N) matrix; entry [C, B] means
     token C may attend to token B.  Every row must have at least one True
-    entry (add self-loops for isolated nodes before constructing this).
-    The mode keeps a read-only copy, so the masked kernels derive its
-    sparsity layout once.
+    entry (add self-loops for isolated nodes before constructing this);
+    construction raises DegenerateMaskError otherwise.  The mode keeps a
+    read-only copy, so the masked kernels derive its sparsity layout once
+    and `mask_matrix` hands it out unchecked.
     """
 
     adjacency: Array
@@ -81,7 +82,7 @@ class GraphNeighborhood:
         if not np.array_equal(a, a.T):
             raise InvalidInputError("adjacency must be symmetric (undirected)")
         a.flags.writeable = False
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", _partnered(a))
 
 
 MaskMode = ExcludeSelf | IncludeSelf | GraphNeighborhood
@@ -92,6 +93,8 @@ def mask_matrix(mode: MaskMode, n: int) -> Array:
 
     ExcludeSelf/IncludeSelf masks are cached read-only.  DegenerateMaskError
     when some row has no partner: a log(0) in the energy (ExcludeSelf, N=1).
+    A GraphNeighborhood mask is its `adjacency`, checked when the mode was
+    made; here only its size is compared with n.
     """
     if isinstance(mode, (ExcludeSelf, IncludeSelf)):
         return _token_mask(mode, n)
@@ -101,7 +104,7 @@ def mask_matrix(mode: MaskMode, n: int) -> Array:
         raise ShapeError(
             f"adjacency is for {mode.adjacency.shape[0]} tokens, state has {n}"
         )
-    return _partnered(mode.adjacency)
+    return mode.adjacency
 
 
 @lru_cache(maxsize=32)
@@ -112,11 +115,10 @@ def _token_mask(mode: ExcludeSelf | IncludeSelf, n: int) -> Array:
 
 
 def _partnered(m: Array) -> Array:
-    empty = np.flatnonzero(~m.any(axis=1))
-    if empty.size:
-        raise DegenerateMaskError(
-            f"attention mask leaves token(s) {empty.tolist()} with no partner"
-        )
+    partnered = m.any(axis=1)
+    if not partnered.all():
+        empty = np.flatnonzero(~partnered).tolist()
+        raise DegenerateMaskError(f"attention mask leaves token(s) {empty} with no partner")
     return m
 
 
@@ -430,10 +432,6 @@ def hopfield_update_of(g, xi, activation: Activation):
 # ---------------------------------------------------------------------------
 # Attention energy and its exact gradient
 
-def _attention_mask(g: Array, a: AttentionParams) -> Array:
-    return mask_matrix(a.mask_mode, g.shape[-2])
-
-
 def attention_energy(g: Array, a: AttentionParams) -> float:
     """Log-sum-exp alignment energy of normalized tokens g (N, D).
 
@@ -444,7 +442,8 @@ def attention_energy(g: Array, a: AttentionParams) -> float:
     """
     g = _check_finite(g, "attention input")
     scores, *_ = scores_of(g, a.w_key, a.w_query, a.beta)
-    return float((-1.0 / a.beta) * _kernels.masked_logsumexp(scores, _attention_mask(g, a)).sum())
+    mask = mask_matrix(a.mask_mode, g.shape[-2])
+    return float((-1.0 / a.beta) * _kernels.masked_logsumexp(scores, mask).sum())
 
 
 def attention_grad(g: Array, a: AttentionParams) -> Array:
@@ -457,14 +456,16 @@ def attention_grad(g: Array, a: AttentionParams) -> Array:
     Broadcasts over leading axes of g.
     """
     g = _check_finite(g, "attention input")
-    return attention_update_of(g, a.w_key, a.w_query, a.beta, _attention_mask(g, a))
+    mask = mask_matrix(a.mask_mode, g.shape[-2])
+    return attention_update_of(g, a.w_key, a.w_query, a.beta, mask)
 
 
 def attention_from_term(g: Array, a: AttentionParams) -> Array:
     """Only the conventional-attention half of `attention_grad`."""
     g = _check_finite(g, "attention input")
     scores, term_from, _ = scores_of(g, a.w_key, a.w_query, a.beta)
-    return term_from(_kernels.masked_softmax(scores, _attention_mask(g, a))).sum(axis=-3)
+    mask = mask_matrix(a.mask_mode, g.shape[-2])
+    return term_from(_kernels.masked_softmax(scores, mask)).sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -579,29 +580,30 @@ def descent_quadratic_forms(x: TokenState, p: EtParams) -> Array:
     return out
 
 
-def find_monotone_alpha(
-    x0: TokenState,
-    p: EtParams,
-    n_steps: int = 12,
-    alpha0: float = 0.1,
-    slack: float = 1e-9,
-    max_halvings: int = 60,
-) -> tuple[float, list[tuple[TokenState, EnergyBreakdown]]]:
-    """Halve the step size from alpha0 until the energy trajectory is monotone.
+# find_monotone_alpha's search: trajectory length, first step size, the
+# energy rise per step still counted as monotone, and halvings before it fails
+DESCENT_STEPS = 12
+DESCENT_ALPHA0 = 0.1
+DESCENT_SLACK = 1e-9
+DESCENT_MAX_HALVINGS = 60
 
-    Returns the first alpha whose n_steps trajectory never increases
-    e_total by more than `slack`, together with that trajectory.
+
+def find_monotone_alpha(
+    x0: TokenState, p: EtParams
+) -> tuple[float, list[tuple[TokenState, EnergyBreakdown]]]:
+    """Halve the step size from DESCENT_ALPHA0 until the trajectory is monotone.
+
+    Returns the first alpha whose DESCENT_STEPS trajectory never increases
+    e_total by more than DESCENT_SLACK, together with that trajectory.
     """
-    alpha = alpha0
-    for _ in range(max_halvings + 1):
-        traj = et_forward(x0, p, alpha, n_steps)
+    alpha = DESCENT_ALPHA0
+    for _ in range(DESCENT_MAX_HALVINGS + 1):
+        traj = et_forward(x0, p, alpha, DESCENT_STEPS)
         e = np.array([b.e_total for _, b in traj])
-        if (np.diff(e) <= slack).all():
+        if (np.diff(e) <= DESCENT_SLACK).all():
             return alpha, traj
         alpha *= 0.5
-    raise InvalidInputError(
-        f"no monotone step size found after {max_halvings} halvings from {alpha0}"
-    )
+    raise InvalidInputError(f"no monotone step size after {DESCENT_MAX_HALVINGS} halvings")
 
 
 # ---------------------------------------------------------------------------

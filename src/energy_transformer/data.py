@@ -238,7 +238,7 @@ def load_image_dataset(dirpath) -> Array:
     images = [load_netpbm(dirpath / n) for n in names]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
-        raise ShapeError(f"{dirpath}: images differ in shape: {sorted(shapes)}")
+        raise FormatError(f"{dirpath}: images differ in shape: {sorted(shapes)}")
     return np.stack(images)
 
 

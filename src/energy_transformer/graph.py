@@ -59,18 +59,14 @@ class GraphInstance:
         return self.features.shape[1]
 
 
-def normalize_edges(edges: Array, n_nodes: int) -> Array:
-    """Canonical undirected edge list: sorted pairs, deduplicated, no loops."""
+def normalize_edges(edges: Array) -> Array:
+    """Canonical undirected edge list: sorted pairs, deduplicated, no loops.
+    Endpoints are range-checked by the callers (`load_graph_dir`, `GraphInstance`)."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    if edges.size == 0:
-        return edges
-    if edges.min() < 0 or edges.max() >= n_nodes:
-        raise ShapeError("edge endpoint out of range")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
     keep = lo != hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return pairs
+    return np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
 
 
 def adjacency_matrix(g: GraphInstance, include_self: bool = False) -> Array:
@@ -383,21 +379,6 @@ def train_graph(
     return best_params, metrics, history
 
 
-def run_graph_seed(
-    g: GraphInstance,
-    seed: int,
-    *,
-    train_ratio: float,
-    init_kwargs: dict,
-    cfg: GraphTrainConfig,
-) -> tuple[GraphTaskParams, dict, list[dict]]:
-    """One seeded split: fresh split, fresh initialization, full training."""
-    rng = Rng(seed)
-    split = make_split(g.n_nodes, train_ratio, rng.stream("graph-split"))
-    params = init_graph_params(g, rng=rng.stream("graph-init"), **init_kwargs)
-    return train_graph(g, split, params, cfg)
-
-
 def run_graph_seeds(
     g: GraphInstance,
     seeds: list[int],
@@ -409,21 +390,23 @@ def run_graph_seeds(
 ) -> dict:
     """Train over several seeded splits; report per-seed and mean/std metrics.
 
-    "params" and "histories" hold each seed's trained parameters and
+    Each seed draws a fresh split and a fresh initialization and trains in
+    full.  "params" and "histories" hold each seed's trained parameters and
     per-epoch log, in seed order.  Seeds are independent, so they may run on
     a small thread pool; results do not depend on the schedule.
     """
     def one(seed: int):
-        return run_graph_seed(
-            g, seed, train_ratio=train_ratio, init_kwargs=init_kwargs, cfg=cfg
-        )
+        rng = Rng(seed)
+        split = make_split(g.n_nodes, train_ratio, rng.stream("graph-split"))
+        params = init_graph_params(g, rng=rng.stream("graph-init"), **init_kwargs)
+        return train_graph(g, split, params, cfg)
 
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(one, seeds))
-    else:
+    else:  # serially: a one-worker pool would hold Ctrl-C until its seed ends
         results = [one(seed) for seed in seeds]
     rows = [{"seed": seed, **metrics} for seed, (_, metrics, _) in zip(seeds, results)]
     f1s = np.array([r["test_macro_f1"] for r in rows])
@@ -465,8 +448,8 @@ def gen_planted_anomaly_graph(
     """
     if not (0 < anomaly_rate < 0.5):
         raise InvalidInputError("anomaly_rate must be in (0, 0.5)")
-    if n_communities > n_features:
-        raise InvalidInputError("need n_features >= n_communities for distinct means")
+    if not (2 <= n_communities <= n_features):
+        raise InvalidInputError("need 2 <= n_communities <= n_features for distinct means")
     rng_struct = Rng(seed).stream("planted-structure")
     rng_feat = Rng(seed).stream("planted-features")
     rng_anom = Rng(seed).stream("planted-anomalies")
@@ -547,5 +530,4 @@ def load_graph_dir(dirpath) -> GraphInstance:
                 f"edges.tsv line {lineno}: expected src<TAB>dst, two node indices below {n}"
             ) from None
         edges.append((a, b))
-    edges = normalize_edges(np.asarray(edges, dtype=np.intp).reshape(-1, 2), n)
-    return GraphInstance(n_nodes=n, edges=edges, features=features, labels=labels)
+    return GraphInstance(n_nodes=n, edges=normalize_edges(edges), features=features, labels=labels)

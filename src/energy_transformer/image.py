@@ -88,10 +88,6 @@ class MaskPlan:
         if len(np.unique(self.occluded)) != self.occluded.size:
             raise InvalidInputError("occluded indices must be unique")
 
-    @property
-    def untouched(self) -> Array:
-        return np.setdiff1d(self.occluded, self.replaced)
-
     def occluded_mask(self, n: int) -> Array:
         m = np.zeros(n, dtype=bool)
         m[self.occluded] = True
@@ -301,9 +297,7 @@ def image_loss_fn(
     sq = (recon - pc) ** 2
     weights = tape.constant(occluded[..., None].astype(np.float64))
     n_scored = int(occluded.sum()) * patch
-    if n_scored == 0:
-        return ad.scale(ad.sum_(sq * weights), 0.0)
-    return ad.scale(ad.sum_(sq * weights), 1.0 / n_scored)
+    return ad.scale(ad.sum_(sq * weights), 1.0 / max(n_scored, 1))  # 0 when nothing is scored
 
 
 @dataclass

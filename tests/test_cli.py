@@ -758,6 +758,26 @@ class TestPathAndFitMistakesExit2:
         assert mistake == "no_module_enabled" or str(cfg) in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cfg_text, cause",
+        [
+            (GRAPH_CFG + "n_communities=1\n", "n_communities (1)"),
+            (GRAPH_CFG + "shift=nan\n", "shift must be finite"),
+            (GRAPH_CFG + "shift=-inf\n", "shift must be finite"),
+            (IMAGE_CFG + "data_dir={ds}\n", "images differ in shape"),
+        ],
+        ids=["one_community", "shift_nan", "shift_inf", "mixed_image_shapes"],
+    )
+    def test_unusable_input_writes_nothing(self, tmp_path, capsys, cfg_text, cause):
+        ds = tmp_path / "ds"
+        save_image_dataset(ds, gen_synthetic_images(0, 2, size=8))
+        save_netpbm(ds / "img_00001.pgm", gen_synthetic_images(0, 1, size=12)[0])
+        cfg = write_cfg(tmp_path, cfg_text.replace("{ds}", str(ds)))
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert cause in _assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("channels, size", [(3, 8), (1, 12)], ids=["rgb", "12x12"])
     def test_data_dir_that_does_not_fit(self, tmp_path, capsys, command, channels, size):

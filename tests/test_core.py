@@ -6,6 +6,9 @@ this file; the oracles never call into the code paths they verify.
 """
 
 import gc
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -287,14 +290,8 @@ class TestAttentionEnergy:
     def test_isolated_graph_row_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True  # node 2 has no partner
-        a = AttentionParams(
-            w_key=np.ones((1, 1, 2)),
-            w_query=np.ones((1, 1, 2)),
-            beta=1.0,
-            mask_mode=GraphNeighborhood(adj),
-        )
-        with pytest.raises(DegenerateMaskError):
-            core.attention_energy(np.ones((3, 2)), a)
+        with pytest.raises(DegenerateMaskError, match=r"token\(s\) \[2\]"):
+            GraphNeighborhood(adj)
 
     def test_asymmetric_adjacency_rejected(self):
         adj = np.zeros((2, 2), dtype=bool)
@@ -627,7 +624,7 @@ class TestEtForward:
         for _ in range(10):
             p = small_params(rng, 5, scale=0.3)
             x = rng.normal(0, 1, (5, 6))
-            alpha, traj = core.find_monotone_alpha(x, p, n_steps=12)
+            alpha, traj = core.find_monotone_alpha(x, p)
             e = np.array([b.e_total for _, b in traj])
             assert (np.diff(e) <= 1e-9).all()
             assert len(traj) == 13
@@ -1097,6 +1094,7 @@ class TestLayoutCache:
     def test_adjacency_is_read_only(self):
         adj = random_adjacency(8, 0.3, np.random.default_rng(16))
         mode = GraphNeighborhood(adj)
+        assert core.mask_matrix(mode, 8) is mode.adjacency  # checked once, when made
         with pytest.raises(ValueError):
             mode.adjacency[0, 0] = not mode.adjacency[0, 0]
         adj[0, 0] = not adj[0, 0]  # the caller's array is not the mode's
@@ -1214,3 +1212,23 @@ class TestSwapPoints:
             unroll, "attention_update_v", lambda *a: ad.scale(update(*a), 0.5)
         )
         assert ad.record_forward(im.image_loss_fn, *args)[0] != loss
+
+
+def test_benchmark_modules_import(monkeypatch):
+    """bench/workloads.py and bench/fidelity_checks.py import the package
+    and build their BREAKAGES table at module level, so a rename in the
+    package fails here.  The files are imported by path, not collected."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    try:
+        for name in ("workloads", "fidelity_checks"):
+            spec = importlib.util.spec_from_file_location(name, bench / f"{name}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    finally:
+        for name in ("workloads", "tracing", "worker", "fidelity_checks"):
+            sys.modules.pop(name, None)
+    assert module.BREAKAGES
+    for cls, target, attr, _ in module.BREAKAGES:
+        assert cls.name in module.W.WORKLOADS and callable(getattr(target, attr))

@@ -68,7 +68,7 @@ class TestGraphInstance:
 
     def test_normalize_edges_dedups_and_drops_loops(self):
         edges = np.array([[0, 1], [1, 0], [2, 2], [1, 2], [1, 2]])
-        out = gr.normalize_edges(edges, 3)
+        out = gr.normalize_edges(edges)
         npt.assert_array_equal(out, [[0, 1], [1, 2]])
 
     def test_adjacency_symmetric_and_isolated_forced(self):
@@ -463,7 +463,7 @@ class TestGraphEnergyDescent:
             g = gr.gen_planted_anomaly_graph(seed, 30, 0.1, 1.0, n_communities=2, p_in=0.4)
             p = tiny_graph_params(g, seed=seed, d=6)
             x0 = gr.embed_nodes(g, p)
-            alpha, traj = find_monotone_alpha(x0, p.et, n_steps=12)
+            alpha, traj = find_monotone_alpha(x0, p.et)
             e = np.array([b.e_total for _, b in traj])
             assert (np.diff(e) <= 1e-9).all()
 
@@ -516,6 +516,12 @@ class TestPlantedAnomalyGraph:
     def test_rate_bounds(self):
         with pytest.raises(InvalidInputError):
             gr.gen_planted_anomaly_graph(0, 10, 0.7, 1.0)
+
+    @pytest.mark.parametrize("n_communities", [1, 9], ids=["one", "above_n_features"])
+    def test_community_count_bounds(self, n_communities):
+        # an anomaly takes another community's features, so one is too few
+        with pytest.raises(InvalidInputError, match="n_communities"):
+            gr.gen_planted_anomaly_graph(0, 10, 0.2, 1.0, n_communities=n_communities)
 
 
 class TestGraphFiles:
