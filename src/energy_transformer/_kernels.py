@@ -15,9 +15,12 @@ op on a 2-vCPU VM no longer faults ~2,300 freed pages back in (~4 us each).
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
+
+from .errors import DivergenceError
 
 Array = np.ndarray
 
@@ -30,9 +33,12 @@ def mean_subtract(x: Array) -> Array:
 def rsqrt_normalize(u: Array, epsilon: float) -> Array:
     """Divide each row by sqrt(mean of squares + epsilon).
 
-    Composed after `mean_subtract` this is the unscaled layer norm.
+    Composed after `mean_subtract` this is the unscaled layer norm.  A scale
+    that overflowed to inf raises DivergenceError; NaN passes to later checks.
     """
     s = np.sqrt((u * u).sum(axis=-1, keepdims=True) / u.shape[-1] + epsilon)
+    if math.isinf(np.add.reduce(s, axis=None)):
+        raise DivergenceError("layer norm variance overflowed to inf")
     return u / s
 
 

@@ -162,9 +162,7 @@ def _checkpoint_params(cfg: RunConfig, g: gr.GraphInstance | None = None):
             raise ConfigError("checkpoint is not from the image task")
         template, from_tensors = _image_params_template(cfg), im.image_params_from_tensors
     else:
-        template = gr.init_graph_params(
-            g, rng=Rng(cfg.seed).stream("graph-init"), **_graph_init_kwargs(cfg)
-        )
+        template = gr.init_graph_params(g, **_graph_init_kwargs(cfg))  # tensors all replaced
         from_tensors = gr.graph_params_from_tensors
     try:
         return from_tensors(tensors, template)
@@ -265,10 +263,7 @@ def cmd_eval(args) -> int:
     g = _load_graph(cfg)
     params = _checkpoint_params(cfg, g)
     out = _out_dir(args, cfg)
-    split = gr.make_split(g.n_nodes, cfg.train_ratio, Rng(cfg.seed).stream("graph-split"))
-    probs = gr.graph_forward(g, params)
-    f1 = gr.macro_f1(probs[split.test], g.labels[split.test])
-    roc = gr.auc(probs[split.test], g.labels[split.test])
+    f1, roc = gr.score_test_split(g, gr.seeded_split(g, cfg.seed, cfg.train_ratio), params)
     print(f"test_macro_f1={_fmt(f1)} test_auc={_fmt(roc)}")
     _write_csv(
         out / "eval.csv",
@@ -288,12 +283,7 @@ def cmd_dump_energy(args) -> int:
             image = gen_synthetic_images(
                 cfg.seed, 1, size=cfg.image_size, channels=cfg.channels
             )[0]
-        plan = im.make_mask_plan(
-            params.n_tokens,
-            cfg.n_occluded,
-            cfg.n_replaced,
-            Rng(cfg.seed).stream("image-eval-masking"),
-        )
+        plan = next(im.eval_plans(cfg.seed, params.n_tokens, cfg.n_occluded, cfg.n_replaced))
         x0 = im.encode_and_mask(im.patchify(image, params.k_h, params.k_w), plan, params)
     else:
         g = gr.load_graph_dir(args.input) if args.input else _load_graph(cfg)
@@ -328,15 +318,16 @@ def cmd_export_weights(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _config(args)
-    out = _out_dir(args, cfg)
     if cfg.task == "image":
         images = gen_synthetic_images(
             cfg.seed, cfg.n_images, size=cfg.image_size, channels=cfg.channels
         )
+        out = _out_dir(args, cfg)
         save_image_dataset(out, images)
         print(f"wrote {cfg.n_images} images to {out}")
     else:
-        g = _load_graph(cfg)
+        g = _load_graph(cfg)  # read before --out is made, as in train and eval
+        out = _out_dir(args, cfg)
         gr.save_graph_dir(g, out)
         print(f"wrote graph with {g.n_nodes} nodes to {out}")
     return 0

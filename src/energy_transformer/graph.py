@@ -117,6 +117,11 @@ def make_split(n: int, train_ratio: float, rng: np.random.Generator) -> SplitPla
     )
 
 
+def seeded_split(g: GraphInstance, seed: int, train_ratio: float) -> SplitPlan:
+    """Seed `seed`'s split of `g`'s nodes: the one training holds out and `et eval` scores."""
+    return make_split(g.n_nodes, train_ratio, Rng(seed).stream("graph-split"))
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 
@@ -298,6 +303,13 @@ def auc(probs: Array, labels: Array) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def score_test_split(g: GraphInstance, split: SplitPlan, p: GraphTaskParams) -> tuple[float, float]:
+    """Macro-F1 and AUC of `p`'s predictions on the test nodes of `split`."""
+    probs = graph_forward(g, p)[split.test]
+    labels = g.labels[split.test]
+    return macro_f1(probs, labels), auc(probs, labels)
+
+
 # ---------------------------------------------------------------------------
 # Training path (recorded on tape)
 
@@ -370,12 +382,8 @@ def train_graph(
             best = {"val_macro_f1": row["val_macro_f1"], "tensors": tensors}
         tensors = updated
     best_params = graph_params_from_tensors(best["tensors"], params)
-    probs = graph_forward(g, best_params)
-    metrics = {
-        "test_macro_f1": macro_f1(probs[split.test], g.labels[split.test]),
-        "test_auc": auc(probs[split.test], g.labels[split.test]),
-        "best_val_macro_f1": best["val_macro_f1"],
-    }
+    f1, roc = score_test_split(g, split, best_params)
+    metrics = {"test_macro_f1": f1, "test_auc": roc, "best_val_macro_f1": best["val_macro_f1"]}
     return best_params, metrics, history
 
 
@@ -396,10 +404,8 @@ def run_graph_seeds(
     a small thread pool; results do not depend on the schedule.
     """
     def one(seed: int):
-        rng = Rng(seed)
-        split = make_split(g.n_nodes, train_ratio, rng.stream("graph-split"))
-        params = init_graph_params(g, rng=rng.stream("graph-init"), **init_kwargs)
-        return train_graph(g, split, params, cfg)
+        params = init_graph_params(g, rng=Rng(seed).stream("graph-init"), **init_kwargs)
+        return train_graph(g, seeded_split(g, seed, train_ratio), params, cfg)
 
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -8,6 +8,7 @@ memory module learn meaningful patch content.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,6 +349,14 @@ def train_image(
     return image_params_from_tensors(tensors, params), history
 
 
+def eval_plans(seed: int, n: int, n_occluded: int, n_replaced: int) -> Iterator[MaskPlan]:
+    """The endless seeded plans over `n` tokens that evaluation masks its
+    images with, in order; `et dump-energy` masks its one image with the first."""
+    rng = Rng(seed).stream("image-eval-masking")
+    while True:
+        yield make_mask_plan(n, n_occluded, n_replaced, rng)
+
+
 def eval_masked_mse(
     images: Array,
     params: ImageTaskParams,
@@ -357,12 +366,12 @@ def eval_masked_mse(
     seed: int,
     decode_at_min_energy: bool = False,
 ) -> float:
-    """Average masked-patch MSE over a set of images with seeded plans."""
-    rng = Rng(seed).stream("image-eval-masking")
+    """Average masked-patch MSE over a set of images, the i-th masked by the
+    i-th of `eval_plans(seed, ...)`."""
     total = 0.0
-    for img in images:
+    plans = eval_plans(seed, params.n_tokens, n_occluded, n_replaced)
+    for img, plan in zip(images, plans):
         grid = patchify(img, params.k_h, params.k_w)
-        plan = make_mask_plan(params.n_tokens, n_occluded, n_replaced, rng)
         recon, _ = reconstruct(
             img, plan, params, decode_at_min_energy=decode_at_min_energy
         )

@@ -74,6 +74,14 @@ class TestConfigParsing:
         keys = re.findall(r"[a-z_0-9]+", " ".join(re.findall(r"`([^`]*)`", table)))
         assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
+    def test_readme_package_layout_lists_every_module(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        block = readme.split("## Package layout\n", 1)[1].split("```\n", 2)[1]
+        listed = re.findall(r"^  (\S+\.py) ", block, flags=re.M)
+        modules = [f.name for f in (root / "src" / "energy_transformer").glob("*.py")]
+        assert sorted(listed) == sorted(m for m in modules if m != "__init__.py")
+
     @pytest.mark.parametrize("allow", [False, True], ids=["off", "on"])
     def test_allow_self_attention_switches_both_tasks(self, allow):
         from energy_transformer.cli import _graph_init_kwargs, _image_params_template, _load_graph
@@ -235,6 +243,19 @@ class TestCliTrainEval:
         assert lines[-2].startswith("mean,")
         assert lines[-1].startswith("std,")
         assert (tmp_path / "g" / "train_log_seed1.csv").exists()
+
+    def test_graph_eval_scores_the_training_split(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GRAPH_CFG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+        row = (tmp_path / "g" / "metrics.csv").read_text().splitlines()[1]
+        assert row.startswith("1,test,")  # the checkpoint's seed
+        f1, roc = row.split(",")[2:]
+        capsys.readouterr()
+        ck = str(tmp_path / "g" / "checkpoint.bin")
+        assert main(["eval", "--config", cfg, "--checkpoint", ck, "--out", str(tmp_path / "e")]) == 0
+        assert f"test_macro_f1={f1} test_auc={roc}" in capsys.readouterr().out.splitlines()
+        eval_csv = (tmp_path / "e" / "eval.csv").read_text()
+        assert eval_csv == f"metric,value\ntest_macro_f1,{f1}\ntest_auc,{roc}\n"
 
     def test_graph_train_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, GRAPH_CFG)
@@ -514,6 +535,17 @@ class TestCliErrors:
             RunConfig(task="image", n_occluded=17)  # 16 tokens
         RunConfig(task="graph", n_occluded=2, n_replaced=3)  # unused by graphs
 
+    @pytest.mark.parametrize(
+        "cfg_text", [IMAGE_CFG + "alpha=1e300\n", GRAPH_CFG + "shift=1e300\n"],
+        ids=["image_alpha", "graph_shift"],
+    )
+    def test_layer_norm_overflow_exits_1(self, tmp_path, capsys, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
+        with np.errstate(over="ignore"):
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+        assert "layer norm variance overflowed to inf" in _assert_one_error_line(capsys)
+        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
     def test_eval_on_oversized_checkpoint_header_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck.bin"
         ck.write_bytes(
@@ -725,10 +757,11 @@ class TestPathAndFitMistakesExit2:
             (IMAGE_CFG + "data_dir={cfg}\n", ["train"]),
             (GRAPH_CFG + "data_dir={cfg}\n", ["train"]),
             (IMAGE_CFG, ["dump-energy", "--checkpoint", "{ck}", "--input", "{tmp}"]),
+            (GRAPH_CFG + "data_dir={cfg}\n", ["gen-data"]),
         ],
         ids=[
             "checkpoint_is_dir", "out_is_file", "image_data_dir_is_file",
-            "graph_data_dir_is_file", "input_is_dir",
+            "graph_data_dir_is_file", "input_is_dir", "gen_data_dir_is_file",
         ],
     )
     def test_path_of_the_wrong_kind(self, tmp_path, capsys, cfg_text, argv):
@@ -741,7 +774,7 @@ class TestPathAndFitMistakesExit2:
             argv += ["--out", str(out)]
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
         _assert_one_error_line(capsys)
-        assert not (out / "checkpoint.bin").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("mistake", ["config_is_dir", "config_not_utf8", "no_module_enabled"])
     def test_config_mistake_writes_nothing(self, tmp_path, capsys, mistake):

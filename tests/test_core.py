@@ -31,7 +31,7 @@ from energy_transformer.core import (
     Relu,
     Softmax,
 )
-from energy_transformer.errors import DegenerateMaskError, InvalidInputError
+from energy_transformer.errors import DegenerateMaskError, DivergenceError, InvalidInputError
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,30 @@ class TestMeanForms:
             want = grad / s - u * (inner / (d * s**3))
             got = _kernels.rsqrt_normalize_backward(grad, u, 1e-5)
         assert np.array_equal(got, want)
+
+
+class TestScaleOverflow:
+    """A layer norm whose variance overflows to inf raises DivergenceError on
+    the array and the tape route alike; a NaN row keeps its NaN path."""
+
+    x = np.array([[1.0, -1.0, 0.5], [1e300, -1e300, 0.0]])
+    p = LayerNormParams(gamma=1.0, delta=np.zeros(3), epsilon=1e-5)
+
+    def test_infinite_scale_raises(self):
+        p, x = self.p, self.x
+        taped = ad.Tape().constant(x)
+        with np.errstate(over="ignore"):
+            for route in (
+                lambda: _kernels.rsqrt_normalize(x, p.epsilon),
+                lambda: core.layer_norm(x, p),
+                lambda: core.layer_norm_of(taped, p.gamma, p.delta, p.epsilon),
+            ):
+                with pytest.raises(DivergenceError, match="variance overflowed to inf"):
+                    route()
+
+    def test_nan_row_passes(self):
+        out = _kernels.rsqrt_normalize(np.array([[1.0, -1.0], [np.nan, 0.0]]), 1e-5)
+        assert np.isfinite(out[0]).all() and np.isnan(out[1]).all()
 
 
 class TestLagrangian:
