@@ -9,8 +9,7 @@ only in summation order.
 `masked_softmax` and `softmax_backward` take numpy's `out=`, which may be their
 first argument.  `core.attention_update_of` puts the weights over the scores it
 owns; the softmax VJP puts dS over its gradient when `autodiff.backward` finds
-it private.  A graph step holds one (H, N, N) array, not two, and a graph-infer
-op on a 2-vCPU VM no longer faults ~2,300 freed pages back in (~4 us each).
+it private, so a graph step holds one (H, N, N) array, not two.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -154,12 +155,11 @@ def _checkpoint_params(cfg: RunConfig, g: gr.GraphInstance | None = None):
     """The image task's parameters from cfg.checkpoint, or the graph task's
     for graph `g`; the config supplies everything that is not a tensor.
 
-    A tensor whose shape does not fit the config is a ConfigError.
+    A tensor missing (as from the other task) is a FormatError, one whose
+    shape does not fit the config a ConfigError.
     """
     tensors = load_checkpoint(cfg.checkpoint)
     if g is None:
-        if "enc.kernel" not in tensors:
-            raise ConfigError("checkpoint is not from the image task")
         template, from_tensors = _image_params_template(cfg), im.image_params_from_tensors
     else:
         template = gr.init_graph_params(g, **_graph_init_kwargs(cfg))  # tensors all replaced
@@ -247,29 +247,23 @@ def cmd_eval(args) -> int:
     cfg = _config(args)
     if cfg.task == "image":
         params = _checkpoint_params(cfg)
-        images = _load_images(cfg)
-        out = _out_dir(args, cfg)
         mse = im.eval_masked_mse(
-            images,
+            _load_images(cfg),
             params,
             n_occluded=cfg.n_occluded,
             n_replaced=cfg.n_replaced,
             seed=cfg.seed,
             decode_at_min_energy=cfg.decode_at_min_energy,
         )
-        print(f"masked_mse={_fmt(mse)}")
-        _write_csv(out / "eval.csv", ["metric", "value"], [["masked_mse", mse]])
-        return 0
-    g = _load_graph(cfg)
-    params = _checkpoint_params(cfg, g)
-    out = _out_dir(args, cfg)
-    f1, roc = gr.score_test_split(g, gr.seeded_split(g, cfg.seed, cfg.train_ratio), params)
-    print(f"test_macro_f1={_fmt(f1)} test_auc={_fmt(roc)}")
-    _write_csv(
-        out / "eval.csv",
-        ["metric", "value"],
-        [["test_macro_f1", f1], ["test_auc", roc]],
-    )
+        rows = [["masked_mse", mse]]
+    else:
+        g = _load_graph(cfg)
+        params = _checkpoint_params(cfg, g)
+        f1, roc = gr.score_test_split(g, gr.seeded_split(g, cfg.seed, cfg.train_ratio), params)
+        rows = [["test_macro_f1", f1], ["test_auc", roc]]
+    out = _out_dir(args, cfg)  # made only once the metrics exist
+    print(" ".join(f"{name}={_fmt(value)}" for name, value in rows))
+    _write_csv(out / "eval.csv", ["metric", "value"], rows)
     return 0
 
 
@@ -318,18 +312,15 @@ def cmd_export_weights(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _config(args)
+    # data_dir is read before --out is made, as in train and eval
+    data = _load_images(cfg) if cfg.task == "image" else _load_graph(cfg)
+    out = _out_dir(args, cfg)
     if cfg.task == "image":
-        images = gen_synthetic_images(
-            cfg.seed, cfg.n_images, size=cfg.image_size, channels=cfg.channels
-        )
-        out = _out_dir(args, cfg)
-        save_image_dataset(out, images)
-        print(f"wrote {cfg.n_images} images to {out}")
+        save_image_dataset(out, data)
+        print(f"wrote {len(data)} images to {out}")
     else:
-        g = _load_graph(cfg)  # read before --out is made, as in train and eval
-        out = _out_dir(args, cfg)
-        gr.save_graph_dir(g, out)
-        print(f"wrote graph with {g.n_nodes} nodes to {out}")
+        gr.save_graph_dir(data, out)
+        print(f"wrote graph with {data.n_nodes} nodes to {out}")
     return 0
 
 
@@ -387,14 +378,19 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ConfigError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings wait for the command to return: one that stops prints one error line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _COMMANDS[args.command](args)
+        except (ConfigError, FormatError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except EtError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 def entry() -> None:

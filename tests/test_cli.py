@@ -1,7 +1,10 @@
 """Config parsing and the command-line surface (exit codes, files, determinism)."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from energy_transformer.config import RunConfig, format_resolved, load_config, p
 from energy_transformer.core import ExcludeSelf, IncludeSelf
 from energy_transformer.data import (
     gen_synthetic_images,
+    load_image_dataset,
     load_netpbm,
     save_image_dataset,
     save_netpbm,
@@ -51,6 +55,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("learning_rate=0.1")
+        with pytest.raises(ConfigError, match="'bogus'"):
+            load_config(None, {"bogus": 1})
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -323,7 +329,7 @@ class TestCliTrainEval:
         span = row.max() - row.min()
         assert np.abs(img - row).max() <= span / 255.0 + 1e-12
 
-    def test_wrong_task_checkpoint_rejected(self, tmp_path):
+    def test_wrong_task_checkpoint_rejected(self, tmp_path, capsys):
         icfg = write_cfg(tmp_path, IMAGE_CFG)
         gcfg = str(tmp_path / "g.cfg")
         with open(gcfg, "w") as fh:
@@ -341,6 +347,8 @@ class TestCliTrainEval:
             ]
         )
         assert code == 2
+        assert "no tensor named 'enc.kernel'" in _assert_one_error_line(capsys)
+        assert not (tmp_path / "x").exists()
 
     def test_epochs_zero_checkpoints_initialization(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG + "epochs=0\n")
@@ -358,8 +366,13 @@ class TestCliTrainEval:
         cfg = write_cfg(tmp_path, IMAGE_CFG)
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "ds")]) == 0
         assert (tmp_path / "ds" / "manifest.txt").exists()
-        cfg2 = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={tmp_path / 'ds'}\n")
+        cfg2 = write_cfg(tmp_path, IMAGE_CFG + f"data_dir={tmp_path / 'ds'}\nn_images=2\n")
         assert main(["train", "--config", cfg2, "--out", str(tmp_path / "run2")]) == 0
+        # gen-data copies a data_dir, all 8 images of it, whatever n_images says
+        assert main(["gen-data", "--config", cfg2, "--out", str(tmp_path / "ds2")]) == 0
+        images = load_image_dataset(tmp_path / "ds")
+        assert images.shape[0] == 8
+        np.testing.assert_array_equal(load_image_dataset(tmp_path / "ds2"), images)
 
     def test_out_dir_key_used_without_out_flag(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -414,12 +427,17 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path, "unknown_key=1\n")
         assert main(["verify-grad", "--config", cfg]) == 2
 
-    def test_missing_config_file_exits_2(self):
+    def test_missing_config_file_exits_2(self, capsys):
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 2
+        assert "No such file or directory: '/nonexistent/run.cfg'" in _assert_one_error_line(capsys)
 
-    def test_missing_checkpoint_exits_2(self, tmp_path):
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IMAGE_CFG)
-        assert main(["eval", "--config", cfg]) == 2
+        for command in ("eval", "dump-energy", "export-weights"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert f"{command} requires --checkpoint" in _assert_one_error_line(capsys)
+            assert not out.exists()
 
     def test_mask_mode_is_an_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, IMAGE_CFG + "mask_mode=include_self\n")
@@ -499,6 +517,7 @@ class TestCliErrors:
             GRAPH_CFG + "b1=1\n",
             GRAPH_CFG + "b2=1.5\n",
             GRAPH_CFG + "warmup_steps=-5\n",
+            IMAGE_CFG + "image_size=10\n",
         ],
         ids=[
             "image_y", "graph_h", "graph_d", "image_m", "graph_f", "channels",
@@ -508,12 +527,13 @@ class TestCliErrors:
             "n_communities_0", "init_std_negative", "init_std_nan", "head_hidden_negative",
             "head_hidden_0",
             "p_in_above_1", "p_out_negative", "b1_1", "b2_above_1", "warmup_steps_negative",
+            "image_size_not_multiple_of_patch_size",
         ],
     )
     def test_bad_size_or_range_exits_2(self, tmp_path, cfg_text):
         cfg = write_cfg(tmp_path, cfg_text)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        assert not (tmp_path / "r" / "checkpoint.bin").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "spec", ["power:x", "power:1", "softmax:-1", "softmax:nan", "softmax:inf", "tanh"]
@@ -523,7 +543,7 @@ class TestCliErrors:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
-        assert repr(spec) in err
+        assert f"{'unknown' if spec == 'tanh' else 'bad'} hn_activation {spec!r}" in err
         assert not (tmp_path / "r").exists()
 
     def test_more_replaced_than_occluded_exits_2(self, tmp_path, capsys):
@@ -539,12 +559,37 @@ class TestCliErrors:
         "cfg_text", [IMAGE_CFG + "alpha=1e300\n", GRAPH_CFG + "shift=1e300\n"],
         ids=["image_alpha", "graph_shift"],
     )
-    def test_layer_norm_overflow_exits_1(self, tmp_path, capsys, cfg_text):
+    def test_layer_norm_overflow_exits_1(self, tmp_path, cfg_text):
+        # a child process, since pytest would capture numpy's overflow warnings
         cfg = write_cfg(tmp_path, cfg_text)
-        with np.errstate(over="ignore"):
-            assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
-        assert "layer norm variance overflowed to inf" in _assert_one_error_line(capsys)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["train", "--config", cfg, "--out", str(tmp_path / "r")]
+        run = subprocess.run(
+            [sys.executable, "-m", "energy_transformer.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), run.stderr
+        assert "layer norm variance overflowed to inf" in err[0]
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    def test_eval_that_diverges_writes_nothing(self, tmp_path, capsys):
+        from energy_transformer.data import load_checkpoint, save_checkpoint
+
+        cfg = write_cfg(tmp_path, IMAGE_CFG + "epochs=0\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        tensors = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        tensors["enc.kernel"] *= 1e300  # finite, but the layer norm overflows
+        ck = tmp_path / "big.bin"
+        save_checkpoint(tensors, ck)
+        capsys.readouterr()
+        ev = tmp_path / "ev"
+        with np.errstate(over="ignore"):
+            assert main(["eval", "--config", cfg, "--checkpoint", str(ck), "--out", str(ev)]) == 1
+        assert "overflowed" in _assert_one_error_line(capsys)
+        assert not ev.exists()
 
     def test_eval_on_oversized_checkpoint_header_exits_2(self, tmp_path, capsys):
         ck = tmp_path / "ck.bin"
@@ -776,13 +821,17 @@ class TestPathAndFitMistakesExit2:
         _assert_one_error_line(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("mistake", ["config_is_dir", "config_not_utf8", "no_module_enabled"])
+    @pytest.mark.parametrize(
+        "mistake", ["config_is_dir", "config_not_utf8", "no_module_enabled", "line_without_equals"]
+    )
     def test_config_mistake_writes_nothing(self, tmp_path, capsys, mistake):
         cfg = tmp_path / "run.cfg"
         if mistake == "config_is_dir":
             cfg.mkdir()
         elif mistake == "config_not_utf8":
             cfg.write_bytes(IMAGE_CFG.encode() + b"# caf\xe9\n")
+        elif mistake == "line_without_equals":
+            cfg.write_text(IMAGE_CFG + "seed 4\n")
         else:
             cfg.write_text(IMAGE_CFG + "enable_attn=false\nenable_hopfield=false\n")
         out = tmp_path / "r"

@@ -103,8 +103,8 @@ class TestNetpbm:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P7\n1 1\n255\n\x00")
-        with pytest.raises(FormatError):
+        path.write_bytes(b"P7\n1 1\n255\n\x00\x00\x00")  # a whole RGB pixel
+        with pytest.raises(FormatError, match="unsupported magic"):
             load_netpbm(path)
 
     def test_header_comments_allowed(self, tmp_path):
@@ -129,6 +129,11 @@ class TestManifest:
         assert back.shape == imgs.shape
         span = imgs.max() - imgs.min()
         assert np.abs(back - imgs).max() <= span / 255.0
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        write_manifest(tmp_path / "manifest.txt", [])
+        with pytest.raises(FormatError, match="empty manifest"):
+            load_image_dataset(tmp_path)
 
 
 class TestCheckpoint:
@@ -166,8 +171,16 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FormatError):
+        save_checkpoint({}, path)  # a valid version-1 body after the magic
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="bad magic"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint({"w": np.ones(2)}, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
             load_checkpoint(path)
 
     def test_header_dims_beyond_file_rejected(self, tmp_path):
