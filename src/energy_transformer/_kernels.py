@@ -3,8 +3,8 @@
 Both the analytic inference path (`core`) and the recorded training path
 (`autodiff` primitives) call these functions for their forward values, so
 the two routes compute bit-identical values.  The backward kernels serve the
-tape alone; the allowed-entry softmax VJP differs from the dense formula
-only in summation order.
+tape alone.  On a sparse mask the masked kernels differ from the dense
+formula only in summation order (round-off); other masks keep its bits.
 
 `masked_softmax` and `softmax_backward` take numpy's `out=`, which may be their
 first argument.  `core.attention_update_of` puts the weights over the scores it
@@ -102,25 +102,24 @@ def _scatter(values: Array, idx: Array, shape: tuple[int, ...], out: Array | Non
     return out
 
 
-def _shifted_exp(scores: Array, mask: Array | None, out: Array | None = None) -> tuple[Array, Array]:
-    """exp(z - max z) over the last axis, and the max (keepdims).
+def _shifted_exp(scores: Array, mask: Array | None, out: Array | None = None) -> tuple:
+    """exp(z - max z) over the last axis, the max, the sum and `mask`'s layout.
 
     z is `scores` with the disallowed entries at -inf, which exponentiate to
-    exactly 0.  With a sparse mask only the allowed entries are gathered,
-    maximized, shifted, exponentiated and scattered into zeros: each value
-    is the same float64 operation on the same operands as in the dense
-    branch, so both branches give the same bits.
+    exactly 0.  A sparse mask's layout gathers its allowed entries: their
+    exponentials stay (..., E), summed per row in their own order.
     """
     allowed = _allowed_entries(scores, mask)
     if allowed is None:
         z = scores if mask is None else np.where(mask, scores, -np.inf)
         m = z.max(axis=-1, keepdims=True)
-        return np.exp(np.subtract(z, m, out=out), out=out), m
+        e = np.exp(np.subtract(z, m, out=out), out=out)
+        return e, m[..., 0], e.sum(axis=-1), None
     idx, starts, counts = allowed
     s = _gather(scores, idx)
     m = np.maximum.reduceat(s, starts, axis=-1)
     e = np.exp(s - np.repeat(m, counts, axis=-1))
-    return _scatter(e, idx, scores.shape, out), m[..., None]
+    return e, m, np.add.reduceat(e, starts, axis=-1), allowed
 
 
 def masked_logsumexp(scores: Array, mask: Array | None) -> Array:
@@ -129,23 +128,25 @@ def masked_logsumexp(scores: Array, mask: Array | None) -> Array:
     `mask` is a boolean array broadcastable to `scores`; None means all
     entries participate.  Rows whose mask is empty must be rejected by the
     caller: they would produce log(0).  A 2-D mask that allows at most half
-    of its entries and no empty row exponentiates only its allowed entries;
-    the result has the same bits as the dense formula.
+    of its entries and no empty row sums only its allowed entries and
+    scatters nothing; the result agrees with the dense formula to round-off.
     """
-    w, m = _shifted_exp(scores, mask)
-    return (m + np.log(w.sum(axis=-1, keepdims=True)))[..., 0]
+    _, m, total, _ = _shifted_exp(scores, mask)
+    return m + np.log(total)
 
 
 def masked_softmax(scores: Array, mask: Array | None, out: Array | None = None) -> Array:
     """Softmax over the last axis restricted to `mask` (None = dense).
 
     A 2-D mask that allows at most half of its entries and no empty row
-    exponentiates only its allowed entries; the result has the same bits as
-    the dense formula.
+    normalizes only its allowed entries and scatters them once into zeros;
+    the result agrees with the dense formula to round-off.
     """
-    w, _ = _shifted_exp(scores, mask, out)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+    e, _, total, allowed = _shifted_exp(scores, mask, out)
+    if allowed is None:
+        e /= total[..., None]
+        return e
+    return _scatter(e / np.repeat(total, allowed[2], axis=-1), allowed[0], scores.shape, out)
 
 
 def attention_terms(g: Array, a: Array, w: Array) -> Array:

@@ -18,7 +18,8 @@ kernels as the analytic inference path, so recorded values agree with
 direct evaluation to the last bit.
 Gradients are exact up to round-off: the masked-softmax VJP on a sparse
 mask, the gradient of a 0-d factor in `mul` and the `attention_terms` VJP
-sum in a different order than the composed formulas they replace.
+sum in a different order than the composed formulas they replace, as does
+the masked softmax itself on a sparse mask (other masks keep the dense bits).
 
 `attention_terms(g, a, w)` records attention's "from" and "to" terms in
 the token basis, sum_h w_h (g a_h^T) + w_h^T (g a_h), as one node.  Its

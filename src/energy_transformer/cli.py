@@ -238,6 +238,11 @@ def cmd_train(args) -> int:
     else:
         _threads()
         data, train = _load_graph(cfg), _train_graph
+        for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
+            split = gr.seeded_split(data, seed, cfg.train_ratio)
+            fit, valid, test = (set(data.labels[i]) for i in (split.train, split.valid, split.test))
+            if 1 not in fit or len(valid) < 2 or len(test) < 2:  # class weight, macro-F1, AUC
+                raise ConfigError(f"seed {seed}'s split of {data.n_nodes} nodes leaves a class out")
     out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
     return train(cfg, data, out)
@@ -299,6 +304,8 @@ def cmd_dump_energy(args) -> int:
 
 def cmd_export_weights(args) -> int:
     cfg = _config(args)
+    if cfg.task != "image":
+        raise ConfigError(f"export-weights needs task=image, got task={cfg.task}")
     params = _checkpoint_params(cfg)
     grid = im.export_weights_as_patches(params, args.which)
     prefix = {"hopfield": "mem", "keys": "key", "queries": "query"}[args.which]

@@ -192,6 +192,16 @@ def _field_parser(f):
 _PARSERS = {f.name: _field_parser(f) for f in fields(RunConfig)}
 
 
+def _parse_value(key: str, text: str, where: str):
+    """`text` as `key`'s typed value; an unknown key or bad value is a ConfigError."""
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse key=value lines into typed values; unknown keys are errors."""
     out: dict = {}
@@ -202,30 +212,21 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
+        out[key] = _parse_value(key, value, f"{source}:{lineno}")
     return out
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional file plus programmatic overrides."""
+    """A RunConfig from an optional file plus overrides, each read as its file text."""
     values: dict = {}
     if path:
         try:
             values.update(parse_config_text(Path(path).read_text(encoding="utf-8"), str(path)))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
-    values.update(overrides or {})
-    try:  # an unknown override key is a TypeError here
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in (overrides or {}).items():
+        values[key] = _parse_value(key, str(value), "override")
+    return RunConfig(**values)
 
 
 def format_resolved(cfg: RunConfig) -> str:

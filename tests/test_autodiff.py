@@ -222,6 +222,25 @@ class TestRecordForward:
         with pytest.raises(TapeError):
             tape.param("w", np.ones(2))
 
+    @pytest.mark.parametrize(
+        "misuse, message",
+        [
+            ("foreign_result", "result does not belong to this tape"),
+            ("result_not_a_var", "recorded function must return a Var"),
+            ("backward_before_finish", r"call finish\(\) first"),
+        ],
+    )
+    def test_tape_misuse_rejected(self, misuse, message):
+        tape = ad.Tape()
+        with pytest.raises(TapeError, match=message):
+            if misuse == "foreign_result":
+                tape.finish(ad.Tape().constant(1.0))  # a scalar, so only the tape is wrong
+            elif misuse == "result_not_a_var":
+                ad.record_forward(lambda tape, pv: float(ad.sum_(pv["w"]).value), {"w": np.ones(2)})
+            else:
+                tape.constant(1.0)
+                ad.backward(tape)
+
 
 def _block(activation, mask_mode, *, enable_attn=True, enable_hopfield=True, y=3):
     rng = np.random.default_rng(11)

@@ -63,6 +63,20 @@ class TestConfigParsing:
             parse_config_text("lr=fast")
         with pytest.raises(ConfigError):
             parse_config_text("enable_attn=maybe")
+        with pytest.raises(ConfigError, match="train_ratio"):  # not only `et train`'s split check
+            load_config(None, {"train_ratio": 1.5})
+
+    @pytest.mark.parametrize(
+        "key, value", [("lr", "fast"), ("d", "x"), ("d", 2.5), ("enable_attn", "maybe"), ("seed", None)]
+    )
+    def test_wrongly_typed_override_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^override: bad value for {key}: "):
+            load_config(None, {key: value})
+
+    def test_override_reads_as_file_text(self):
+        cfg = load_config(None, {"lr": "0.5", "enable_attn": "false", "grad_clip": None, "seed": 7})
+        assert (cfg.lr, cfg.enable_attn, cfg.grad_clip, cfg.seed) == (0.5, False, None, 7)
+        assert cfg == load_config(None, {"lr": 0.5, "enable_attn": False, "grad_clip": "none", "seed": "7"})
 
     def test_bad_task_rejected(self):
         with pytest.raises(ConfigError):
@@ -349,6 +363,18 @@ class TestCliTrainEval:
         assert code == 2
         assert "no tensor named 'enc.kernel'" in _assert_one_error_line(capsys)
         assert not (tmp_path / "x").exists()
+
+    def test_export_weights_needs_image_task(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GRAPH_CFG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+        # the graph's own checkpoint, and one that does not exist: neither is read
+        for ck in (tmp_path / "g" / "checkpoint.bin", tmp_path / "missing.bin"):
+            out = tmp_path / "x"
+            argv = ["export-weights", "--config", cfg, "--checkpoint", str(ck), "--out", str(out)]
+            assert main(argv) == 2
+            assert "export-weights needs task=image, got task=graph" in _assert_one_error_line(capsys)
+            assert not out.exists()
 
     def test_epochs_zero_checkpoints_initialization(self, tmp_path):
         cfg = write_cfg(tmp_path, IMAGE_CFG + "epochs=0\n")
@@ -679,7 +705,8 @@ class TestBadInputFilesExit2:
         (d / name).write_text(text)
         cfg = write_cfg(tmp_path, GRAPH_CFG + f"data_dir={d}\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-        _assert_one_error_line(capsys)
+        err = _assert_one_error_line(capsys)
+        assert name in err or f"{d}:" in err, err  # the bad file, not the 4-node split
 
     @pytest.mark.parametrize(
         "name, content",
@@ -847,8 +874,15 @@ class TestPathAndFitMistakesExit2:
             (GRAPH_CFG + "shift=nan\n", "shift must be finite"),
             (GRAPH_CFG + "shift=-inf\n", "shift must be finite"),
             (IMAGE_CFG + "data_dir={ds}\n", "images differ in shape"),
+            (GRAPH_CFG + "n_nodes=5\n", "seed 1's split of 5 nodes leaves a class out"),
+            (GRAPH_CFG + "n_nodes=2\n", "seed 1's split of 2 nodes leaves a class out"),
+            (GRAPH_CFG + "anomaly_rate=0.01\n", "split of 60 nodes leaves a class out"),
+            (GRAPH_CFG + "train_ratio=0.01\nn_seeds=5\n", "seed 5's split of 60 nodes"),
         ],
-        ids=["one_community", "shift_nan", "shift_inf", "mixed_image_shapes"],
+        ids=[
+            "one_community", "shift_nan", "shift_inf", "mixed_image_shapes",
+            "five_nodes", "two_nodes", "rare_anomalies", "one_training_node",
+        ],
     )
     def test_unusable_input_writes_nothing(self, tmp_path, capsys, cfg_text, cause):
         ds = tmp_path / "ds"
