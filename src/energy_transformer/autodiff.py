@@ -2,10 +2,11 @@
 
 A `Tape` records a computation as a topologically ordered list of primitive
 operations (matmul, add, masked softmax, attention terms, ...), each node
-saving its forward value.  `backward` walks the tape once in reverse and
-returns exact gradients of the recorded scalar with respect to every named
-parameter.  `replay` re-executes the forward pass from the records and
-checks that it reproduces the saved values bit-exactly.
+saving its forward value.  Every primitive's vector-Jacobian product
+returns one gradient per input.  `backward` walks the tape once in reverse
+and reports the exact gradients of the recorded scalar for the leaves that
+`Tape.param` names.  `replay` re-executes the forward pass from the records
+and checks that it reproduces the saved values bit-exactly.
 
 The primitive set is closed: model code must be composed from the functions
 in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
@@ -61,7 +62,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # Primitive registry: op name -> (forward, backward)
 #
 # forward(inputs, meta) -> value
-# backward(grad_out, inputs, value, meta) -> one gradient per input (or None)
+# backward(grad_out, inputs, value, meta) -> one gradient per input
 
 _OPS: dict[str, tuple[Callable, Callable]] = {}
 
@@ -288,7 +289,6 @@ class Node:
     inputs: tuple[int, ...]
     value: Array
     meta: dict
-    requires_grad: bool
 
 
 class Tape:
@@ -303,17 +303,14 @@ class Tape:
         """Register a named leaf that gradients will be reported for."""
         if name in self.params:
             raise TapeError(f"duplicate parameter name {name!r}")
-        v = self._leaf(value, requires_grad=True)
+        v = self.constant(value)
         self.params[name] = v.idx
         return v
 
     def constant(self, value) -> "Var":
-        """A leaf that participates in the forward pass but gets no gradient."""
-        return self._leaf(value, requires_grad=False)
-
-    def _leaf(self, value, requires_grad: bool) -> "Var":
-        value = np.asarray(value, dtype=np.float64)
-        self.nodes.append(Node("leaf", (), value, {}, requires_grad))
+        """An unnamed leaf: it takes part in the forward pass, and `backward`
+        reports no gradient for it."""
+        self.nodes.append(Node("leaf", (), np.asarray(value, dtype=np.float64), {}))
         return Var(self, len(self.nodes) - 1)
 
     def _push(self, op: str, inputs: tuple["Var", ...], meta: dict) -> "Var":
@@ -323,8 +320,7 @@ class Tape:
         fwd, _ = _OPS[op]
         values = [v.value for v in inputs]
         out = np.asarray(fwd(values, meta))
-        requires = any(v.node.requires_grad for v in inputs)
-        self.nodes.append(Node(op, tuple(v.idx for v in inputs), out, meta, requires))
+        self.nodes.append(Node(op, tuple(v.idx for v in inputs), out, meta))
         return Var(self, len(self.nodes) - 1)
 
     def finish(self, result: "Var") -> None:
@@ -347,10 +343,6 @@ class Var:
     tape: Tape
     idx: int
     __array_ufunc__ = None  # numpy scalars defer to Var's reflected operators
-
-    @property
-    def node(self) -> Node:
-        return self.tape.nodes[self.idx]
 
     @property
     def value(self) -> Array:
@@ -482,15 +474,15 @@ def concat(parts: list[Var], axis: int = -1) -> Var:
 # ---------------------------------------------------------------------------
 # Record / backward / replay / oracle
 
-def record_forward(fn, params: dict[str, Array], *args, **kwargs) -> tuple[float, Tape]:
-    """Run fn(tape, param_vars, *args, **kwargs) and record it.
+def record_forward(fn, params: dict[str, Array], *args) -> tuple[float, Tape]:
+    """Run fn(tape, param_vars, *args) and record it.
 
     fn must return a scalar Var built from this module's primitives; the
     recorded value equals direct evaluation because recording is eager.
     """
     tape = Tape()
     pvars = {name: tape.param(name, value) for name, value in params.items()}
-    out = fn(tape, pvars, *args, **kwargs)
+    out = fn(tape, pvars, *args)
     if not isinstance(out, Var):
         raise TapeError("recorded function must return a Var")
     tape.finish(out)
@@ -505,7 +497,8 @@ def _private(g: Array, grads: dict[int, Array]) -> bool:
 def backward(tape: Tape) -> dict[str, Array]:
     """Exact gradients of the recorded scalar w.r.t. every named parameter.
 
-    Parameters that do not influence the result get exact zeros.
+    Parameters that do not influence the result get exact zeros.  Every
+    other leaf gets its gradient too, but it is not reported.
 
     The masked-softmax VJP writes dS into its gradient, so it gets a copy
     unless `_private` holds (`add` hands one array to both operands and
@@ -517,7 +510,7 @@ def backward(tape: Tape) -> dict[str, Array]:
     grads: dict[int, Array] = {tape.result: np.ones(())}
     for idx in range(tape.result, -1, -1):
         node = tape.nodes[idx]
-        if node.op == "leaf" or not node.requires_grad:
+        if node.op == "leaf":
             continue  # leaf grads stay in the dict for collection below
         g = grads.pop(idx, None)
         if g is None:
@@ -527,8 +520,6 @@ def backward(tape: Tape) -> dict[str, Array]:
         _, bwd = _OPS[node.op]
         ins = [tape.nodes[i].value for i in node.inputs]
         for inp_idx, inp_grad in zip(node.inputs, bwd(g, ins, node.value, node.meta)):
-            if inp_grad is None or not tape.nodes[inp_idx].requires_grad:
-                continue
             if inp_idx in grads:
                 grads[inp_idx] = grads[inp_idx] + inp_grad
             else:

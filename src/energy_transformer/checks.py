@@ -28,10 +28,12 @@ from .core import (
     Relu,
     Softmax,
 )
-from .data import Rng, params_from_tensors, params_to_tensors
+from .data import Rng, params_to_tensors
 from .errors import InvalidInputError
 
 Array = np.ndarray
+
+_MASK_KINDS = ("exclude_self", "include_self", "graph")  # cycled over the instances
 
 
 def rel_err(a: Array, b: Array) -> float:
@@ -86,7 +88,6 @@ def check_energy_gradients(
     Covers all three mask modes and all three memory activations on random
     instances with N<=6, D<=8, H<=2, Y<=3, M<=5.
     """
-    mask_kinds = ("exclude_self", "include_self", "graph")
     activations = (Relu(), Power(3), Softmax(0.7))
     worst: dict[str, tuple[float, int]] = {}
 
@@ -100,7 +101,7 @@ def check_energy_gradients(
         m = int(rng.integers(1, 6))
         g = rng.normal(0.0, 1.0, (n, d))
 
-        kind = mask_kinds[i % 3]
+        kind = _MASK_KINDS[i % 3]
         attn = AttentionParams(
             w_key=rng.normal(0.0, 0.6, (y, h, d)),
             w_query=rng.normal(0.0, 0.6, (y, h, d)),
@@ -131,7 +132,8 @@ def _check_tape(
     """Tape gradients of loss_fn(tape, vars, *data, params) vs. finite
     differences, one report ("<prefix>/<tensor>") per tensor of `table`.
 
-    Each tensor is perturbed coordinate-wise.
+    Each tensor is perturbed coordinate-wise; `loss_fn` reads learned values
+    from the tensors alone, so `params` stays as it is.
     """
     tensors = params_to_tensors(params, table)
     _, tape = ad.record_forward(loss_fn, tensors, *data, params)
@@ -139,8 +141,7 @@ def _check_tape(
     reports = []
     for name in tensors:
         def loss_of(value, name=name):
-            p2 = params_from_tensors({**tensors, name: value}, params, table)
-            return ad.record_forward(loss_fn, params_to_tensors(p2, table), *data, p2)[0]
+            return ad.record_forward(loss_fn, {**tensors, name: value}, *data, params)[0]
 
         fd = ad.finite_diff(loss_of, tensors[name], fd_step)
         err = rel_err(grads[name], fd)
@@ -237,7 +238,6 @@ def check_energy_descent(n_instances: int = 100, seed0: int = 0) -> tuple[int, i
     equal n_instances.  Instances use training-scale weights, where the
     small-step regime is expected to hold.
     """
-    mask_kinds = ("exclude_self", "include_self", "graph")
     at_alpha0 = 0
     after_halving = 0
     for i in range(n_instances):
@@ -250,7 +250,7 @@ def check_energy_descent(n_instances: int = 100, seed0: int = 0) -> tuple[int, i
                 w_key=rng.normal(0, 0.02, (3, 2, d)),
                 w_query=rng.normal(0, 0.02, (3, 2, d)),
                 beta=core.default_beta(3),
-                mask_mode=_random_mask_mode(mask_kinds[i % 3], n, rng),
+                mask_mode=_random_mask_mode(_MASK_KINDS[i % 3], n, rng),
             ),
             hopfield=HopfieldParams(xi=rng.normal(0, 0.02, (8, d))),
         )

@@ -42,11 +42,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) + "\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    """CSV text of a header and rows; numbers other than ints in `_fmt` form."""
+    lines = [header] + [[c if isinstance(c, (str, int)) else _fmt(c) for c in row] for row in rows]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def _threads() -> int:
@@ -193,11 +192,8 @@ def _train_image(cfg: RunConfig, images: Array, out: Path) -> int:
     params = _image_params_template(cfg)
     trained, history = im.train_image(images, params, _train_config(im.ImageTrainConfig, cfg))
     save_checkpoint(im.image_params_to_tensors(trained), out / "checkpoint.bin")
-    _write_csv(
-        out / "train_log.csv",
-        ["epoch", "loss"],
-        [[row["epoch"], row["loss"]] for row in history],
-    )
+    rows = [[row["epoch"], row["loss"]] for row in history]
+    (out / "train_log.csv").write_text(_csv(["epoch", "loss"], rows))
     print(f"wrote {out / 'checkpoint.bin'} and {out / 'train_log.csv'}")
     return 0
 
@@ -212,20 +208,15 @@ def _train_graph(cfg: RunConfig, g: gr.GraphInstance, out: Path) -> int:
         cfg=_train_config(gr.GraphTrainConfig, cfg),
         n_workers=min(_threads(), len(seeds)),
     )
+    header = ["epoch", "loss", "val_macro_f1", "val_auc"]
     for seed, history in zip(seeds, report["histories"]):
-        _write_csv(
-            out / f"train_log_seed{seed}.csv",
-            ["epoch", "loss", "val_macro_f1", "val_auc"],
-            [
-                [r["epoch"], r["loss"], r["val_macro_f1"], r["val_auc"]]
-                for r in history
-            ],
-        )
+        log = _csv(header, [[r[key] for key in header] for r in history])
+        (out / f"train_log_seed{seed}.csv").write_text(log)
     save_checkpoint(gr.graph_params_to_tensors(report["params"][0]), out / "checkpoint.bin")
     rows = [[r["seed"], "test", r["test_macro_f1"], r["test_auc"]] for r in report["rows"]]
     rows.append(["mean", "test", report["mean_macro_f1"], report["mean_auc"]])
     rows.append(["std", "test", report["std_macro_f1"], report["std_auc"]])
-    _write_csv(out / "metrics.csv", ["seed", "split", "macro_f1", "auc"], rows)
+    (out / "metrics.csv").write_text(_csv(["seed", "split", "macro_f1", "auc"], rows))
     print(f"wrote {out / 'checkpoint.bin'} and {out / 'metrics.csv'}")
     return 0
 
@@ -239,10 +230,7 @@ def cmd_train(args) -> int:
         _threads()
         data, train = _load_graph(cfg), _train_graph
         for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
-            split = gr.seeded_split(data, seed, cfg.train_ratio)
-            fit, valid, test = (set(data.labels[i]) for i in (split.train, split.valid, split.test))
-            if 1 not in fit or len(valid) < 2 or len(test) < 2:  # class weight, macro-F1, AUC
-                raise ConfigError(f"seed {seed}'s split of {data.n_nodes} nodes leaves a class out")
+            gr.seeded_split(data, seed, cfg.train_ratio)  # a split that leaves a class out raises
     out = _out_dir(args, cfg)
     (out / "resolved.cfg").write_text(format_resolved(cfg))
     return train(cfg, data, out)
@@ -263,12 +251,12 @@ def cmd_eval(args) -> int:
         rows = [["masked_mse", mse]]
     else:
         g = _load_graph(cfg)
-        params = _checkpoint_params(cfg, g)
-        f1, roc = gr.score_test_split(g, gr.seeded_split(g, cfg.seed, cfg.train_ratio), params)
+        split = gr.seeded_split(g, cfg.seed, cfg.train_ratio)  # checked before the checkpoint is read
+        f1, roc = gr.score_test_split(g, split, _checkpoint_params(cfg, g))
         rows = [["test_macro_f1", f1], ["test_auc", roc]]
     out = _out_dir(args, cfg)  # made only once the metrics exist
     print(" ".join(f"{name}={_fmt(value)}" for name, value in rows))
-    _write_csv(out / "eval.csv", ["metric", "value"], rows)
+    (out / "eval.csv").write_text(_csv(["metric", "value"], rows))
     return 0
 
 
@@ -289,10 +277,8 @@ def cmd_dump_energy(args) -> int:
         params = _checkpoint_params(cfg, g)
         x0 = gr.embed_nodes(g, params)
     traj = et_forward(x0, params.et, params.alpha, params.n_steps)
-    lines = ["step,energy_att,energy_hn,energy_total"]
-    for step, (_, b) in enumerate(traj):
-        lines.append(f"{step},{_fmt(b.e_att)},{_fmt(b.e_hn)},{_fmt(b.e_total)}")
-    text = "\n".join(lines) + "\n"
+    rows = [[step, b.e_att, b.e_hn, b.e_total] for step, (_, b) in enumerate(traj)]
+    text = _csv(["step", "energy_att", "energy_hn", "energy_total"], rows)
     if args.out or cfg.out_dir:
         out = _out_dir(args, cfg)
         (out / "energy.csv").write_text(text)
@@ -340,7 +326,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, which=False, inp=False):
+    def command(name, run, summary, checkpoint=False, which=False, inp=False):
+        """Add subcommand `name`, run by `run(args)`, with its flags."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
@@ -356,31 +345,15 @@ def _parser() -> argparse.ArgumentParser:
         if inp:
             p.add_argument("--input", default=None, help="input image file or graph dir")
 
-    common(sub.add_parser("verify-grad", help="finite-difference gradient suite"))
-    common(sub.add_parser("train", help="train the configured task"))
-    common(sub.add_parser("eval", help="evaluate a checkpoint"), checkpoint=True)
-    common(
-        sub.add_parser("dump-energy", help="per-step energy trajectory CSV"),
-        checkpoint=True,
-        inp=True,
-    )
-    common(
-        sub.add_parser("export-weights", help="decode weight rows to image patches"),
-        checkpoint=True,
-        which=True,
-    )
-    common(sub.add_parser("gen-data", help="write a synthetic dataset"))
+    command("verify-grad", cmd_verify_grad, "finite-difference gradient suite")
+    command("train", cmd_train, "train the configured task")
+    command("eval", cmd_eval, "evaluate a checkpoint", checkpoint=True)
+    command("dump-energy", cmd_dump_energy, "per-step energy trajectory CSV",
+            checkpoint=True, inp=True)
+    command("export-weights", cmd_export_weights, "decode weight rows to image patches",
+            checkpoint=True, which=True)
+    command("gen-data", cmd_gen_data, "write a synthetic dataset")
     return parser
-
-
-_COMMANDS = {
-    "verify-grad": cmd_verify_grad,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "dump-energy": cmd_dump_energy,
-    "export-weights": cmd_export_weights,
-    "gen-data": cmd_gen_data,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -388,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     # warnings wait for the command to return: one that stops prints one error line
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = _COMMANDS[args.command](args)
+            code = args.run(args)
         except (ConfigError, FormatError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

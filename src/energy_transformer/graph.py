@@ -22,7 +22,7 @@ from ._kernels import stable_sigmoid
 from .core import EtParams, GraphNeighborhood, et_unroll, init_et_params, layer_norm
 from .core import layer_norm_of
 from .data import Rng, params_from_tensors, params_to_tensors
-from .errors import FormatError, InvalidInputError, MetricUndefinedError, ShapeError
+from .errors import ConfigError, FormatError, InvalidInputError, MetricUndefinedError, ShapeError
 from .optim import TrainConfig as GraphTrainConfig, descend
 from .unroll import et_unroll_v
 
@@ -118,8 +118,16 @@ def make_split(n: int, train_ratio: float, rng: np.random.Generator) -> SplitPla
 
 
 def seeded_split(g: GraphInstance, seed: int, train_ratio: float) -> SplitPlan:
-    """Seed `seed`'s split of `g`'s nodes: the one training holds out and `et eval` scores."""
-    return make_split(g.n_nodes, train_ratio, Rng(seed).stream("graph-split"))
+    """Seed `seed`'s split of `g`'s nodes: the one training holds out and `et eval` scores.
+
+    A ConfigError unless the training nodes hold an anomaly (the class weight)
+    and validation and test both hold both classes (macro-F1 and AUC).
+    """
+    split = make_split(g.n_nodes, train_ratio, Rng(seed).stream("graph-split"))
+    fit, valid, test = (set(g.labels[i]) for i in (split.train, split.valid, split.test))
+    if 1 not in fit or len(valid) < 2 or len(test) < 2:
+        raise ConfigError(f"seed {seed}'s split of {g.n_nodes} nodes leaves a class out")
+    return split
 
 
 # ---------------------------------------------------------------------------

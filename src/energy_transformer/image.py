@@ -390,11 +390,8 @@ def export_weights_as_patches(p: ImageTaskParams, which: str) -> PatchGrid:
     """
     if which == "hopfield":
         rows = p.et.hopfield.xi
-    elif which == "keys":
-        w = p.et.attn.w_key
-        rows = w.transpose(1, 0, 2).reshape(-1, w.shape[2])
-    elif which == "queries":
-        w = p.et.attn.w_query
+    elif which in ("keys", "queries"):
+        w = p.et.attn.w_key if which == "keys" else p.et.attn.w_query
         rows = w.transpose(1, 0, 2).reshape(-1, w.shape[2])
     else:
         raise InvalidInputError(f"unknown weight family {which!r}")

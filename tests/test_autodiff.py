@@ -11,6 +11,7 @@ from energy_transformer import _kernels, core
 from energy_transformer import autodiff as ad
 from energy_transformer import graph as gr
 from energy_transformer import image as im
+from energy_transformer import optim
 from energy_transformer.checks import _check_tape
 from energy_transformer.data import Rng
 from energy_transformer.errors import DivergenceError, TapeError
@@ -201,6 +202,22 @@ class TestRecordForward:
             return ad.backward(tape)["w"]
 
         npt.assert_allclose(fn(3.0), 3.0 * fn(1.0), rtol=1e-15)
+
+    def test_node_that_does_not_feed_the_result_is_skipped(self):
+        w = np.random.default_rng(3).normal(0, 1, (3, 2))
+
+        def fn(extra):
+            def inner(tape, pv):
+                if extra:
+                    ad.mul(pv["w"], pv["w"])  # recorded, never read
+                return ad.sum_(pv["w"] ** 3)
+
+            _, tape = ad.record_forward(inner, {"w": w})
+            return tape, ad.backward(tape)["w"]
+
+        (tape, with_extra), (_, without) = fn(True), fn(False)
+        assert [n.op for n in tape.nodes] == ["leaf", "mul", "power", "sum"]
+        npt.assert_array_equal(with_extra, without)
 
     def test_non_scalar_result_rejected(self):
         def fn(tape, pv):
@@ -693,6 +710,21 @@ class TestAdam:
         new, _ = adam_step(params, {k: np.asarray(0.0) for k in params}, state)
         assert float(new["b"]) == 2.0
         assert float(new["w"]) < 2.0
+
+    def test_warmup_ramps_the_learning_rate(self, monkeypatch):
+        scales = []
+
+        def recorded(params, grads, state, lr_scale=1.0):
+            scales.append(lr_scale)
+            return params, AdamState(state.m, state.v, state.step + 1, state.lr)
+
+        monkeypatch.setattr(optim, "adam_step", recorded)
+        cfg = optim.TrainConfig(warmup_steps=4)
+        tensors = {"w": np.ones(2)}
+        state = cfg.adam(tensors, frozenset())
+        for _ in range(5):
+            _, tensors, state = optim.descend(lambda tape, pv: ad.sum_(pv["w"]), tensors, state, cfg)
+        assert scales == [0.25, 0.5, 0.75, 1.0, 1.0]
 
     def test_non_finite_gradient_raises(self):
         params = {"w": np.asarray(1.0)}

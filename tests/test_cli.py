@@ -88,6 +88,11 @@ class TestConfigParsing:
         cfg2 = RunConfig(**parse_config_text(text))
         assert format_resolved(cfg2) == text
 
+    def test_none_round_trips_through_resolved_text(self):
+        text = format_resolved(load_config(None, {"grad_clip": "none"}))
+        assert "grad_clip=none" in text.splitlines()
+        assert RunConfig(**parse_config_text(text)).grad_clip is None
+
     def test_readme_key_table_lists_every_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| group | keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
@@ -342,6 +347,19 @@ class TestCliTrainEval:
         row = grid.patches[0].reshape(1, 4, 4)
         span = row.max() - row.min()
         assert np.abs(img - row).max() <= span / 255.0 + 1e-12
+
+        # queries: one patch per (head, internal dim) row of w_query, head-major
+        assert main(
+            ["export-weights", "--config", cfg, "--checkpoint", ck, "--which", "queries",
+             "--out", str(tmp_path / "q")]
+        ) == 0
+        files = sorted((tmp_path / "q").glob("query_*.pgm"))
+        w = params.et.attn.w_query
+        rows = im.decode_tokens(w.transpose(1, 0, 2).reshape(-1, w.shape[2]), params)
+        assert len(files) == rows.shape[0] == 8  # h=2 heads, y=4
+        for f, row in zip(files, rows):
+            span = row.max() - row.min()
+            assert np.abs(load_netpbm(f).reshape(-1) - row).max() <= span / 255.0 + 1e-12, f.name
 
     def test_wrong_task_checkpoint_rejected(self, tmp_path, capsys):
         icfg = write_cfg(tmp_path, IMAGE_CFG)
@@ -600,6 +618,22 @@ class TestCliErrors:
         assert len(err) == 1 and err[0].startswith("error: "), run.stderr
         assert "layer norm variance overflowed to inf" in err[0]
         assert not (tmp_path / "r" / "checkpoint.bin").exists()
+
+    def test_warning_of_a_completed_command_is_shown(self, tmp_path):
+        # a child process, since pytest would capture the warning
+        g = gr.gen_planted_anomaly_graph(1, 60, 0.25, 1.5, p_in=0.3, n_features=8)
+        isolated = g.edges[(g.edges != 0).all(axis=1)]  # node 0 loses its edges
+        gr.save_graph_dir(gr.GraphInstance(60, isolated, g.features, g.labels), tmp_path / "gd")
+        cfg = write_cfg(tmp_path, GRAPH_CFG + f"data_dir={tmp_path / 'gd'}\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "energy_transformer.cli", "train", "--config", cfg,
+             "--out", str(tmp_path / "r")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "forcing self-loops on 1 isolated node(s): [0]" in run.stderr
+        assert (tmp_path / "r" / "metrics.csv").exists()
 
     def test_eval_that_diverges_writes_nothing(self, tmp_path, capsys):
         from energy_transformer.data import load_checkpoint, save_checkpoint
@@ -893,6 +927,19 @@ class TestPathAndFitMistakesExit2:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert cause in _assert_one_error_line(capsys)
         assert not out.exists()
+
+    def test_eval_of_an_unscoreable_split_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GRAPH_CFG)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+        capsys.readouterr()
+        cfg = write_cfg(tmp_path, GRAPH_CFG + "anomaly_rate=0.01\n")
+        # its own trained checkpoint, and one that does not exist: the split fails first
+        for ck in (tmp_path / "g" / "checkpoint.bin", tmp_path / "missing.bin"):
+            out = tmp_path / "e"
+            argv = ["eval", "--config", cfg, "--checkpoint", str(ck), "--out", str(out)]
+            assert main(argv) == 2
+            assert "seed 1's split of 60 nodes leaves a class out" in _assert_one_error_line(capsys)
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("channels, size", [(3, 8), (1, 12)], ids=["rgb", "12x12"])

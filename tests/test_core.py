@@ -31,7 +31,12 @@ from energy_transformer.core import (
     Relu,
     Softmax,
 )
-from energy_transformer.errors import DegenerateMaskError, DivergenceError, InvalidInputError
+from energy_transformer.errors import (
+    DegenerateMaskError,
+    DivergenceError,
+    InvalidInputError,
+    ShapeError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +384,38 @@ class TestAttentionParams:
     def test_rejects_beta_not_finite_and_positive(self, beta):
         with pytest.raises(InvalidInputError, match="beta"):
             AttentionParams(w_key=np.ones((2, 1, 3)), w_query=np.ones((2, 1, 3)), beta=beta)
+
+
+class TestParamGuards:
+    """Each parameter container's shape and finiteness checks, one case per check."""
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: LayerNormParams(1.0, np.zeros((2, 3))), ShapeError, "delta must be a vector"),
+            (lambda: LayerNormParams(np.nan, np.zeros(3)), InvalidInputError,
+             "layer norm parameters must be finite"),
+            (lambda: AttentionParams(np.ones((2, 3)), np.ones((2, 3)), 1.0), ShapeError,
+             r"w_key must be \(Y, H, D\)"),
+            (lambda: AttentionParams(np.ones((2, 1, 3)), np.ones((2, 1, 4)), 1.0), ShapeError,
+             r"w_key \(2, 1, 3\) and w_query \(2, 1, 4\) differ"),
+            (lambda: HopfieldParams(np.ones((0, 3))), ShapeError, r"xi must be \(M>=1, D\)"),
+            (lambda: HopfieldParams(np.full((2, 3), np.inf)), InvalidInputError,
+             "memory rows must be finite"),
+            (lambda: EtParams(
+                LayerNormParams(1.0, np.zeros(3)),
+                AttentionParams(np.ones((2, 1, 4)), np.ones((2, 1, 4)), 1.0),
+                HopfieldParams(np.ones((2, 3))),
+            ), ShapeError, "token dim mismatch: norm 3, attention 4, hopfield 3"),
+        ],
+        ids=[
+            "delta_not_vector", "norm_not_finite", "w_key_not_3d", "w_key_w_query_differ",
+            "no_memories", "memories_not_finite", "token_dims_differ",
+        ],
+    )
+    def test_rejected(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
 
 
 # ---------------------------------------------------------------------------

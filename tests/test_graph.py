@@ -1,5 +1,7 @@
 """Graph pipeline: embedding, forward, loss, metrics, splits, generator."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -435,6 +437,11 @@ class TestParamsValidation:
         g = path_graph(4)
         with pytest.raises(InvalidInputError):
             tiny_graph_params(g, n_steps=0)
+
+    def test_embedding_width_must_match_token_dim(self):
+        p = tiny_graph_params(path_graph(4))
+        with pytest.raises(ShapeError, match="embedding width must match token dim"):
+            dataclasses.replace(p, embed_kernel=np.zeros((3, 5)))  # D = 4
 
     def test_head_width_must_match_concat(self):
         g = path_graph(4)

@@ -189,6 +189,19 @@ class TestMaskedMse:
 
 
 class TestTaskParams:
+    @pytest.mark.parametrize(
+        "field, shape, message",
+        [
+            ("enc_kernel", (6, 4), r"encoder kernel \(6, 4\) != \(6, 5\)"),
+            ("dec_kernel", (5, 7), r"decoder kernel \(5, 7\) != \(5, 6\)"),
+            ("enc_bias", (4,), "encoder/decoder bias shapes inconsistent"),
+            ("mask_token", (4,), "mask token / position bias shapes inconsistent"),
+        ],
+    )
+    def test_shape_of_another_width_rejected(self, field, shape, message):
+        with pytest.raises(ShapeError, match=message):
+            dataclasses.replace(tiny_params(), **{field: np.zeros(shape)})
+
     def test_decoder_norm_of_another_width_rejected(self):
         p = tiny_params()
         with pytest.raises(ShapeError, match="decoder norm dim 3 != 5"):
@@ -383,6 +396,25 @@ class TestTrainingStep:
         got = im.image_params_to_tensors(trained)
         for k in expected:
             npt.assert_array_equal(got[k], expected[k], err_msg=k)
+
+    def test_max_steps_stops_inside_an_epoch(self, monkeypatch):
+        # 4 images in batches of 1 make 4 steps an epoch; max_steps=3 stops inside the first
+        p = tiny_params(n_tokens=4, patch=6, k_h=1, k_w=6)
+        images = np.random.default_rng(0).normal(0, 1, (4, 1, 4, 6))
+        descend, steps = im.descend, []
+
+        def counted(*args):
+            steps.append(descend(*args))  # (loss, tensors, state) after each Adam step
+            return steps[-1]
+
+        monkeypatch.setattr(im, "descend", counted)
+        cfg = im.ImageTrainConfig(epochs=2, batch_size=1, n_occluded=2, n_replaced=1, max_steps=3)
+        trained, history = im.train_image(images, p, cfg)
+        assert [state.step for _, _, state in steps] == [1, 2, 3]
+        assert history == [{"epoch": 0, "loss": float(np.mean([loss for loss, _, _ in steps]))}]
+        final = im.image_params_to_tensors(trained)
+        for name, value in steps[-1][1].items():
+            npt.assert_array_equal(final[name], value, err_msg=name)
 
     def test_nan_image_diverges_before_any_update(self):
         p = tiny_params(n_tokens=4, patch=6, k_h=1, k_w=6)
