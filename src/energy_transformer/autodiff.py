@@ -2,11 +2,15 @@
 
 A `Tape` records a computation as a topologically ordered list of primitive
 operations (matmul, add, masked softmax, attention terms, ...), each node
-saving its forward value.  Every primitive's vector-Jacobian product
-returns one gradient per input.  `backward` walks the tape once in reverse
-and reports the exact gradients of the recorded scalar for the leaves that
-`Tape.param` names.  `replay` re-executes the forward pass from the records
-and checks that it reproduces the saved values bit-exactly.
+saving its forward value.  `backward` walks the tape once in reverse and
+reports the exact gradients of the recorded scalar for the leaves that
+`Tape.param` names.
+
+Each primitive is declared once: `_primitive(name, fwd, bwd)` on its
+constructor gives the op name, the forward, the vector-Jacobian product
+(one gradient per input) and the constructor together.  The constructor
+returns its input Vars and its meta, and the decorator records the node.
+`Var`'s binary operators, `**`, `reshape` and `sum` are these constructors.
 
 The primitive set is closed: model code must be composed from the functions
 in this module or from `Var`'s operators and ndarray methods (`@`, `*`,
@@ -34,6 +38,7 @@ verification suite; it never touches the tape machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,227 +64,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Primitive registry: op name -> (forward, backward)
-#
-# forward(inputs, meta) -> value
-# backward(grad_out, inputs, value, meta) -> one gradient per input
-
-_OPS: dict[str, tuple[Callable, Callable]] = {}
-
-
-def _op(name):
-    def deco(pair):
-        _OPS[name] = pair()
-        return pair
-
-    return deco
-
-
-@_op("add")
-def _add():
-    fwd = lambda ins, meta: ins[0] + ins[1]
-    bwd = lambda g, ins, out, meta: [
-        _unbroadcast(g, ins[0].shape),
-        _unbroadcast(g, ins[1].shape),
-    ]
-    return fwd, bwd
-
-
-@_op("sub")
-def _sub():
-    fwd = lambda ins, meta: ins[0] - ins[1]
-    bwd = lambda g, ins, out, meta: [
-        _unbroadcast(g, ins[0].shape),
-        _unbroadcast(-g, ins[1].shape),
-    ]
-    return fwd, bwd
-
-
-def _mul_grad(g: Array, a: Array, other: Array) -> Array:
-    """Gradient of `a` in a * other.  A 0-d `a` (a learnable beta or gamma
-    times an array) gets one dot product, with no temporary the size of g."""
-    if a.ndim == 0:
-        return np.asarray(np.vdot(g, other))
-    return _unbroadcast(g * other, a.shape)
-
-
-@_op("mul")
-def _mul():
-    fwd = lambda ins, meta: ins[0] * ins[1]
-    bwd = lambda g, ins, out, meta: [
-        _mul_grad(g, ins[0], ins[1]),
-        _mul_grad(g, ins[1], ins[0]),
-    ]
-    return fwd, bwd
-
-
-@_op("scale")
-def _scale():
-    fwd = lambda ins, meta: meta["c"] * ins[0]
-    bwd = lambda g, ins, out, meta: [meta["c"] * g]
-    return fwd, bwd
-
-
-@_op("matmul")
-def _matmul():
-    fwd = lambda ins, meta: np.matmul(ins[0], ins[1])
-
-    def bwd(g, ins, out, meta):
-        a, b = ins
-        if b.ndim == 2 and a.ndim > 2:
-            # rows with batch axes against a 2-D weight: one GEMM over all
-            # rows, not per-batch weight gradients that _unbroadcast sums
-            k, m = b.shape
-            a2, g2 = a.reshape(-1, k), g.reshape(-1, m)
-            return [np.matmul(g2, b.T).reshape(a.shape), np.matmul(a2.T, g2)]
-        ga = np.matmul(g, b.swapaxes(-1, -2))
-        gb = np.matmul(a.swapaxes(-1, -2), g)
-        return [_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)]
-
-    return fwd, bwd
-
-
-@_op("transpose")
-def _transpose():
-    fwd = lambda ins, meta: ins[0].transpose(meta["perm"])
-
-    def bwd(g, ins, out, meta):
-        inv = np.argsort(meta["perm"])
-        return [g.transpose(tuple(inv))]
-
-    return fwd, bwd
-
-
-@_op("reshape")
-def _reshape():
-    fwd = lambda ins, meta: ins[0].reshape(meta["shape"])
-    bwd = lambda g, ins, out, meta: [g.reshape(ins[0].shape)]
-    return fwd, bwd
-
-
-@_op("sum")
-def _sum():
-    def fwd(ins, meta):
-        return ins[0].sum(axis=meta["axis"])
-
-    def bwd(g, ins, out, meta):
-        axis = meta["axis"]
-        g = np.expand_dims(g, () if axis is None else axis)
-        return [np.broadcast_to(g, ins[0].shape).copy()]
-
-    return fwd, bwd
-
-
-@_op("relu")
-def _relu():
-    fwd = lambda ins, meta: K.relu(ins[0])
-    bwd = lambda g, ins, out, meta: [g * (ins[0] > 0)]
-    return fwd, bwd
-
-
-@_op("power")
-def _power():
-    fwd = lambda ins, meta: ins[0] ** meta["n"]
-    bwd = lambda g, ins, out, meta: [meta["n"] * ins[0] ** (meta["n"] - 1) * g]
-    return fwd, bwd
-
-
-@_op("sigmoid")
-def _sigmoid():
-    fwd = lambda ins, meta: K.stable_sigmoid(ins[0])
-    bwd = lambda g, ins, out, meta: [g * out * (1.0 - out)]
-    return fwd, bwd
-
-
-@_op("log")
-def _log():
-    fwd = lambda ins, meta: np.log(ins[0])
-    bwd = lambda g, ins, out, meta: [g / ins[0]]
-    return fwd, bwd
-
-
-@_op("mean_subtract")
-def _mean_subtract():
-    fwd = lambda ins, meta: K.mean_subtract(ins[0])
-    bwd = lambda g, ins, out, meta: [K.mean_subtract(g)]
-    return fwd, bwd
-
-
-@_op("rsqrt_normalize")
-def _rsqrt_normalize():
-    fwd = lambda ins, meta: K.rsqrt_normalize(ins[0], meta["epsilon"])
-    bwd = lambda g, ins, out, meta: [
-        K.rsqrt_normalize_backward(g, ins[0], meta["epsilon"])
-    ]
-    return fwd, bwd
-
-
-@_op("masked_softmax")
-def _masked_softmax():
-    fwd = lambda ins, meta: K.masked_softmax(ins[0], meta["mask"])
-    bwd = lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"], out=g)]
-    return fwd, bwd
-
-
-@_op("attention_terms")
-def _attention_terms():
-    fwd = lambda ins, meta: K.attention_terms(*ins)
-
-    def bwd(grad, ins, out, meta):
-        g, a, w = ins
-        gt = g.swapaxes(-1, -2)[..., None, :, :]
-        vt, ut = a @ gt, a.swapaxes(-1, -2) @ gt  # v_h^T, u_h^T: (..., H, D, N)
-        grad_t = np.broadcast_to(grad.swapaxes(-1, -2)[..., None, :, :], vt.shape)
-        # dw_h = G v_h^T + u_h G^T = [G, u_h] [v_h, G]^T: one GEMM of inner width 2D
-        gw = np.concatenate([grad_t, ut], -2).swapaxes(-1, -2) @ np.concatenate([vt, grad_t], -2)
-        dut, dvt = grad_t @ w.swapaxes(-1, -2), grad_t @ w  # du_h^T, dv_h^T
-        gg = (a @ dut + a.swapaxes(-1, -2) @ dvt).sum(axis=-3).swapaxes(-1, -2)
-        ga = gt @ dut.swapaxes(-1, -2) + dvt @ g[..., None, :, :]
-        return [gg, _unbroadcast(ga, a.shape), gw]
-
-    return fwd, bwd
-
-
-@_op("gather")
-def _gather():
-    fwd = lambda ins, meta: np.take(ins[0], meta["idx"], axis=0)
-
-    def bwd(g, ins, out, meta):
-        acc = np.zeros_like(ins[0])
-        np.add.at(acc, meta["idx"], g)
-        return [acc]
-
-    return fwd, bwd
-
-
-@_op("where_rows")
-def _where_rows():
-    # out[..., A, :] = vec where meta row mask is set, else a[..., A, :]
-    fwd = lambda ins, meta: np.where(meta["rows"][..., None], ins[1], ins[0])
-
-    def bwd(g, ins, out, meta):
-        rows = meta["rows"][..., None]
-        ga = np.where(rows, 0.0, g)
-        gv = _unbroadcast(np.where(rows, g, 0.0), ins[1].shape)
-        return [ga, gv]
-
-    return fwd, bwd
-
-
-@_op("concat")
-def _concat():
-    fwd = lambda ins, meta: np.concatenate(ins, axis=meta["axis"])
-
-    def bwd(g, ins, out, meta):
-        axis = meta["axis"]
-        sizes = [a.shape[axis] for a in ins]
-        return list(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return fwd, bwd
-
-
-# ---------------------------------------------------------------------------
-# Tape and variables
+# Tape
 
 @dataclass
 class Node:
@@ -313,16 +98,6 @@ class Tape:
         self.nodes.append(Node("leaf", (), np.asarray(value, dtype=np.float64), {}))
         return Var(self, len(self.nodes) - 1)
 
-    def _push(self, op: str, inputs: tuple["Var", ...], meta: dict) -> "Var":
-        for v in inputs:
-            if v.tape is not self:
-                raise TapeError("all operands must belong to the same tape")
-        fwd, _ = _OPS[op]
-        values = [v.value for v in inputs]
-        out = np.asarray(fwd(values, meta))
-        self.nodes.append(Node(op, tuple(v.idx for v in inputs), out, meta))
-        return Var(self, len(self.nodes) - 1)
-
     def finish(self, result: "Var") -> None:
         if result.tape is not self:
             raise TapeError("result does not belong to this tape")
@@ -331,13 +106,252 @@ class Tape:
         self.result = result.idx
 
 
+# ---------------------------------------------------------------------------
+# Primitives: op name -> (forward, backward)
+#
+# forward(inputs, meta) -> value
+# backward(grad_out, inputs, value, meta) -> one gradient per input
+
+_OPS: dict[str, tuple[Callable, Callable]] = {}
+_WRITES_GRAD: set[str] = set()  # ops whose backward may write into grad_out
+
+
+def _primitive(name: str, fwd: Callable, bwd: Callable, writes_grad: bool = False):
+    """Declare primitive `name` on its constructor.  The decorated function
+    returns its input Vars and the node's meta; the constructor it becomes
+    records the node and returns its Var."""
+    _OPS[name] = (fwd, bwd)
+    if writes_grad:
+        _WRITES_GRAD.add(name)
+
+    def declare(build):
+        @functools.wraps(build)
+        def record(*args, **kwargs):
+            inputs, meta = build(*args, **kwargs)
+            tape = inputs[0].tape
+            for v in inputs:
+                if v.tape is not tape:
+                    raise TapeError("all operands must belong to the same tape")
+            out = np.asarray(fwd([v.value for v in inputs], meta))
+            tape.nodes.append(Node(name, tuple(v.idx for v in inputs), out, meta))
+            return Var(tape, len(tape.nodes) - 1)
+
+        return record
+
+    return declare
+
+
+@_primitive(
+    "add",
+    lambda ins, meta: ins[0] + ins[1],
+    lambda g, ins, out, meta: [_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)],
+)
+def add(a: Var, b: Var) -> Var:
+    return (a, b), {}
+
+
+@_primitive(
+    "sub",
+    lambda ins, meta: ins[0] - ins[1],
+    lambda g, ins, out, meta: [_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape)],
+)
+def sub(a: Var, b: Var) -> Var:
+    return (a, b), {}
+
+
+def _mul_grad(g: Array, a: Array, other: Array) -> Array:
+    """Gradient of `a` in a * other.  A 0-d `a` (a learnable beta or gamma
+    times an array) gets one dot product, with no temporary the size of g."""
+    if a.ndim == 0:
+        return np.asarray(np.vdot(g, other))
+    return _unbroadcast(g * other, a.shape)
+
+
+@_primitive(
+    "mul",
+    lambda ins, meta: ins[0] * ins[1],
+    lambda g, ins, out, meta: [_mul_grad(g, ins[0], ins[1]), _mul_grad(g, ins[1], ins[0])],
+)
+def mul(a: Var, b: Var) -> Var:
+    return (a, b), {}
+
+
+@_primitive("scale", lambda ins, meta: meta["c"] * ins[0], lambda g, ins, out, meta: [meta["c"] * g])
+def scale(a: Var, c: float) -> Var:
+    return (a,), {"c": float(c)}
+
+
+def _matmul_vjp(g, ins, out, meta):
+    a, b = ins
+    if b.ndim == 2 and a.ndim > 2:
+        # rows with batch axes against a 2-D weight: one GEMM over all
+        # rows, not per-batch weight gradients that _unbroadcast sums
+        k, m = b.shape
+        a2, g2 = a.reshape(-1, k), g.reshape(-1, m)
+        return [np.matmul(g2, b.T).reshape(a.shape), np.matmul(a2.T, g2)]
+    ga = np.matmul(g, b.swapaxes(-1, -2))
+    gb = np.matmul(a.swapaxes(-1, -2), g)
+    return [_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)]
+
+
+@_primitive("matmul", lambda ins, meta: np.matmul(ins[0], ins[1]), _matmul_vjp)
+def matmul(a: Var, b: Var) -> Var:
+    return (a, b), {}
+
+
+@_primitive(
+    "transpose",
+    lambda ins, meta: ins[0].transpose(meta["perm"]),
+    lambda g, ins, out, meta: [g.transpose(tuple(np.argsort(meta["perm"])))],
+)
+def transpose(a: Var, perm: tuple[int, ...]) -> Var:
+    # normalize negative axes so the backward pass can invert the permutation
+    n = a.value.ndim
+    return (a,), {"perm": tuple(p % n for p in perm)}
+
+
+@_primitive(
+    "reshape",
+    lambda ins, meta: ins[0].reshape(meta["shape"]),
+    lambda g, ins, out, meta: [g.reshape(ins[0].shape)],
+)
+def reshape(a: Var, shape: tuple[int, ...]) -> Var:
+    return (a,), {"shape": tuple(shape)}
+
+
+def _sum_vjp(g, ins, out, meta):
+    axis = meta["axis"]
+    g = np.expand_dims(g, () if axis is None else axis)
+    return [np.broadcast_to(g, ins[0].shape).copy()]
+
+
+@_primitive("sum", lambda ins, meta: ins[0].sum(axis=meta["axis"]), _sum_vjp)
+def sum_(a: Var, axis: int | None = None) -> Var:
+    return (a,), {"axis": axis}
+
+
+@_primitive("relu", lambda ins, meta: K.relu(ins[0]), lambda g, ins, out, meta: [g * (ins[0] > 0)])
+def relu(a: Var) -> Var:
+    return (a,), {}
+
+
+@_primitive(
+    "power",
+    lambda ins, meta: ins[0] ** meta["n"],
+    lambda g, ins, out, meta: [meta["n"] * ins[0] ** (meta["n"] - 1) * g],
+)
+def power(a: Var, n: int) -> Var:
+    return (a,), {"n": int(n)}
+
+
+@_primitive(
+    "sigmoid",
+    lambda ins, meta: K.stable_sigmoid(ins[0]),
+    lambda g, ins, out, meta: [g * out * (1.0 - out)],
+)
+def sigmoid(a: Var) -> Var:
+    return (a,), {}
+
+
+@_primitive("log", lambda ins, meta: np.log(ins[0]), lambda g, ins, out, meta: [g / ins[0]])
+def log(a: Var) -> Var:
+    return (a,), {}
+
+
+@_primitive(
+    "mean_subtract",
+    lambda ins, meta: K.mean_subtract(ins[0]),
+    lambda g, ins, out, meta: [K.mean_subtract(g)],
+)
+def mean_subtract(a: Var) -> Var:
+    return (a,), {}
+
+
+@_primitive(
+    "rsqrt_normalize",
+    lambda ins, meta: K.rsqrt_normalize(ins[0], meta["epsilon"]),
+    lambda g, ins, out, meta: [K.rsqrt_normalize_backward(g, ins[0], meta["epsilon"])],
+)
+def rsqrt_normalize(a: Var, epsilon: float) -> Var:
+    return (a,), {"epsilon": float(epsilon)}
+
+
+@_primitive(
+    "masked_softmax",
+    lambda ins, meta: K.masked_softmax(ins[0], meta["mask"]),
+    lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"], out=g)],
+    writes_grad=True,  # dS goes over the incoming gradient
+)
+def masked_softmax(a: Var, mask: Array | None) -> Var:
+    return (a,), {"mask": mask}
+
+
+def _attention_terms_vjp(grad, ins, out, meta):
+    g, a, w = ins
+    gt = g.swapaxes(-1, -2)[..., None, :, :]
+    vt, ut = a @ gt, a.swapaxes(-1, -2) @ gt  # v_h^T, u_h^T: (..., H, D, N)
+    grad_t = np.broadcast_to(grad.swapaxes(-1, -2)[..., None, :, :], vt.shape)
+    # dw_h = G v_h^T + u_h G^T = [G, u_h] [v_h, G]^T: one GEMM of inner width 2D
+    gw = np.concatenate([grad_t, ut], -2).swapaxes(-1, -2) @ np.concatenate([vt, grad_t], -2)
+    dut, dvt = grad_t @ w.swapaxes(-1, -2), grad_t @ w  # du_h^T, dv_h^T
+    gg = (a @ dut + a.swapaxes(-1, -2) @ dvt).sum(axis=-3).swapaxes(-1, -2)
+    ga = gt @ dut.swapaxes(-1, -2) + dvt @ g[..., None, :, :]
+    return [gg, _unbroadcast(ga, a.shape), gw]
+
+
+@_primitive("attention_terms", lambda ins, meta: K.attention_terms(*ins), _attention_terms_vjp)
+def attention_terms(g: Var, a: Var, w: Var) -> Var:
+    """Attention's "from" plus "to" term (see `_kernels.attention_terms`)."""
+    return (g, a, w), {}
+
+
+def _gather_vjp(g, ins, out, meta):
+    acc = np.zeros_like(ins[0])
+    np.add.at(acc, meta["idx"], g)
+    return [acc]
+
+
+@_primitive("gather", lambda ins, meta: np.take(ins[0], meta["idx"], axis=0), _gather_vjp)
+def gather(a: Var, idx: Array) -> Var:
+    return (a,), {"idx": np.asarray(idx, dtype=np.intp)}
+
+
+def _where_rows_vjp(g, ins, out, meta):
+    rows = meta["rows"][..., None]
+    return [np.where(rows, 0.0, g), _unbroadcast(np.where(rows, g, 0.0), ins[1].shape)]
+
+
+@_primitive(
+    "where_rows",
+    lambda ins, meta: np.where(meta["rows"][..., None], ins[1], ins[0]),
+    _where_rows_vjp,
+)
+def where_rows(a: Var, vec: Var, rows: Array) -> Var:
+    """Replace rows of `a` (last-axis vectors) flagged by `rows` with `vec`."""
+    return (a, vec), {"rows": np.asarray(rows, dtype=bool)}
+
+
+def _concat_vjp(g, ins, out, meta):
+    axis = meta["axis"]
+    sizes = [a.shape[axis] for a in ins]
+    return list(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+
+
+@_primitive("concat", lambda ins, meta: np.concatenate(ins, axis=meta["axis"]), _concat_vjp)
+def concat(parts: list[Var], axis: int = -1) -> Var:
+    return tuple(parts), {"axis": axis}
+
+
+# ---------------------------------------------------------------------------
+# Variables
+
 @dataclass(frozen=True)
 class Var:
     """Handle to one tape node.
 
-    Operators and the ndarray methods below record the matching primitive,
-    so array code records itself when handed Vars; a number times a Var,
-    and its negation, is `scale`.
+    Its operators and ndarray methods are, or call, the primitive
+    constructors above, so array code records itself when handed Vars; a
+    number times a Var, and its negation, is `scale`.
     """
 
     tape: Tape
@@ -352,26 +366,17 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __add__(self, other: "Var") -> "Var":
-        return add(self, other)
-
-    def __sub__(self, other: "Var") -> "Var":
-        return sub(self, other)
-
-    def __mul__(self, other: "Var") -> "Var":
-        return mul(self, other)
-
-    def __rmul__(self, c: float) -> "Var":
-        return scale(self, c)
-
-    def __matmul__(self, other: "Var") -> "Var":
-        return matmul(self, other)
+    __add__ = add
+    __sub__ = sub
+    __mul__ = mul
+    __rmul__ = scale
+    __matmul__ = matmul
+    __pow__ = power
+    reshape = reshape
+    sum = sum_
 
     def __neg__(self) -> "Var":
         return scale(self, -1.0)
-
-    def __pow__(self, n: int) -> "Var":
-        return power(self, n)
 
     def transpose(self, *perm: int) -> "Var":
         return transpose(self, perm)
@@ -381,98 +386,9 @@ class Var:
         perm[a], perm[b] = perm[b], perm[a]
         return transpose(self, tuple(perm))
 
-    def reshape(self, shape: tuple[int, ...]) -> "Var":
-        return reshape(self, shape)
-
-    def sum(self, axis: int | None = None) -> "Var":
-        return sum_(self, axis)
-
 
 # ---------------------------------------------------------------------------
-# Primitive constructors
-
-def add(a: Var, b: Var) -> Var:
-    return a.tape._push("add", (a, b), {})
-
-
-def sub(a: Var, b: Var) -> Var:
-    return a.tape._push("sub", (a, b), {})
-
-
-def mul(a: Var, b: Var) -> Var:
-    return a.tape._push("mul", (a, b), {})
-
-
-def scale(a: Var, c: float) -> Var:
-    return a.tape._push("scale", (a,), {"c": float(c)})
-
-
-def matmul(a: Var, b: Var) -> Var:
-    return a.tape._push("matmul", (a, b), {})
-
-
-def transpose(a: Var, perm: tuple[int, ...]) -> Var:
-    # normalize negative axes so the backward pass can invert the permutation
-    n = a.value.ndim
-    return a.tape._push("transpose", (a,), {"perm": tuple(p % n for p in perm)})
-
-
-def reshape(a: Var, shape: tuple[int, ...]) -> Var:
-    return a.tape._push("reshape", (a,), {"shape": tuple(shape)})
-
-
-def sum_(a: Var, axis: int | None = None) -> Var:
-    return a.tape._push("sum", (a,), {"axis": axis})
-
-
-def relu(a: Var) -> Var:
-    return a.tape._push("relu", (a,), {})
-
-
-def power(a: Var, n: int) -> Var:
-    return a.tape._push("power", (a,), {"n": int(n)})
-
-
-def sigmoid(a: Var) -> Var:
-    return a.tape._push("sigmoid", (a,), {})
-
-
-def log(a: Var) -> Var:
-    return a.tape._push("log", (a,), {})
-
-
-def mean_subtract(a: Var) -> Var:
-    return a.tape._push("mean_subtract", (a,), {})
-
-
-def rsqrt_normalize(a: Var, epsilon: float) -> Var:
-    return a.tape._push("rsqrt_normalize", (a,), {"epsilon": float(epsilon)})
-
-
-def masked_softmax(a: Var, mask: Array | None) -> Var:
-    return a.tape._push("masked_softmax", (a,), {"mask": mask})
-
-
-def attention_terms(g: Var, a: Var, w: Var) -> Var:
-    """Attention's "from" plus "to" term (see `_kernels.attention_terms`)."""
-    return g.tape._push("attention_terms", (g, a, w), {})
-
-
-def gather(a: Var, idx: Array) -> Var:
-    return a.tape._push("gather", (a,), {"idx": np.asarray(idx, dtype=np.intp)})
-
-
-def where_rows(a: Var, vec: Var, rows: Array) -> Var:
-    """Replace rows of `a` (last-axis vectors) flagged by `rows` with `vec`."""
-    return a.tape._push("where_rows", (a, vec), {"rows": np.asarray(rows, dtype=bool)})
-
-
-def concat(parts: list[Var], axis: int = -1) -> Var:
-    return parts[0].tape._push("concat", tuple(parts), {"axis": axis})
-
-
-# ---------------------------------------------------------------------------
-# Record / backward / replay / oracle
+# Record / backward / oracle
 
 def record_forward(fn, params: dict[str, Array], *args) -> tuple[float, Tape]:
     """Run fn(tape, param_vars, *args) and record it.
@@ -500,10 +416,10 @@ def backward(tape: Tape) -> dict[str, Array]:
     Parameters that do not influence the result get exact zeros.  Every
     other leaf gets its gradient too, but it is not reported.
 
-    The masked-softmax VJP writes dS into its gradient, so it gets a copy
-    unless `_private` holds (`add` hands one array to both operands and
+    A VJP declared `writes_grad` may write into its gradient, so it gets a
+    copy unless `_private` holds (`add` hands one array to both operands and
     `transpose`/`reshape` pass views).  No VJP returns a saved value or an
-    input, so `replay` sees untouched values.
+    input, so no recorded value is ever written.
     """
     if tape.result is None:
         raise TapeError("tape has no recorded result; call finish() first")
@@ -515,7 +431,7 @@ def backward(tape: Tape) -> dict[str, Array]:
         g = grads.pop(idx, None)
         if g is None:
             continue
-        if node.op == "masked_softmax" and not _private(g, grads):
+        if node.op in _WRITES_GRAD and not _private(g, grads):
             g = g.copy()
         _, bwd = _OPS[node.op]
         ins = [tape.nodes[i].value for i in node.inputs]
@@ -529,22 +445,6 @@ def backward(tape: Tape) -> dict[str, Array]:
         g = grads.get(idx)
         out[name] = g if g is not None else np.zeros_like(tape.nodes[idx].value)
     return out
-
-
-def replay(tape: Tape) -> int:
-    """Re-execute every recorded primitive and check values bit-exactly.
-
-    Returns the number of non-leaf nodes verified; raises TapeError on the
-    first mismatch.
-    """
-    for idx, node in enumerate(tape.nodes):
-        if node.op == "leaf":
-            continue
-        fwd, _ = _OPS[node.op]
-        redone = fwd([tape.nodes[i].value for i in node.inputs], node.meta)
-        if not np.array_equal(redone, node.value):
-            raise TapeError(f"replay mismatch at node {idx} ({node.op})")
-    return sum(1 for n in tape.nodes if n.op != "leaf")
 
 
 def finite_diff(f, point: Array, h: float = 1e-5) -> Array:

@@ -690,6 +690,25 @@ class TestEtForward:
             assert (np.diff(e) <= 1e-9).all()
             assert len(traj) == 13
 
+    def test_step_size_halves_until_monotone(self):
+        # a large layer-norm gamma and sharp softmax memories make
+        # DESCENT_ALPHA0 overshoot; twice the returned step still does
+        rng = np.random.default_rng(18)
+        p = EtParams(
+            norm=LayerNormParams(gamma=6.0, delta=np.zeros(4)),
+            attn=AttentionParams(
+                w_key=rng.normal(0, 1.5, (2, 1, 4)), w_query=rng.normal(0, 1.5, (2, 1, 4)), beta=0.5
+            ),
+            hopfield=HopfieldParams(xi=rng.normal(0, 1.5, (8, 4)), activation=Softmax(2.0)),
+        )
+        x = rng.normal(0, 1, (3, 4))
+        alpha, traj = core.find_monotone_alpha(x, p)
+        assert alpha < core.DESCENT_ALPHA0
+        e = np.array([b.e_total for _, b in traj])
+        assert (np.diff(e) <= core.DESCENT_SLACK).all()
+        coarse = core.et_forward(x, p, 2 * alpha, core.DESCENT_STEPS)
+        assert (np.diff([b.e_total for _, b in coarse]) > core.DESCENT_SLACK).any()
+
     def test_rejects_zero_steps(self):
         rng = np.random.default_rng(20)
         p = small_params(rng, 4)
@@ -721,6 +740,11 @@ class TestDescentCertificate:
             x = rng.normal(0, 2, (n, 6))
             q = core.descent_quadratic_forms(x, p)
             assert (q >= -1e-10).all()
+
+    def test_descent_check_counts_through_the_search(self):
+        from energy_transformer.checks import check_energy_descent
+
+        assert check_energy_descent(n_instances=3) == (3, 3)
 
     def test_descent_check_counts_no_step_and_propagates_bugs(self, monkeypatch):
         from energy_transformer.checks import check_energy_descent

@@ -167,6 +167,17 @@ class TestMaskedMse:
                 count += 1
         npt.assert_allclose(im.masked_mse(a, b, plan), total / count, rtol=1e-12)
 
+    def test_eval_is_the_mean_over_images(self):
+        p = tiny_params(n_tokens=16, patch=4, k_h=2, k_w=2)
+        images = gen_synthetic_images(4, 3, size=8)
+        per_image = []
+        for img, plan in zip(images, im.eval_plans(7, 16, 4, 2)):
+            recon, _ = im.reconstruct(img, plan, p)
+            per_image.append(im.masked_mse(im.patchify(recon, 2, 2), im.patchify(img, 2, 2), plan))
+        got = im.eval_masked_mse(images, p, n_occluded=4, n_replaced=2, seed=7)
+        assert got == pytest.approx(np.mean(per_image), rel=1e-15)
+        assert len(set(per_image)) == 3
+
     def test_gradient_zero_outside_occluded(self):
         # the loss reads only occluded rows, so other rows get exact zeros
         rng = np.random.default_rng(6)
@@ -313,7 +324,7 @@ class TestTrainingStep:
         plan = im.make_mask_plan(16, 6, 5, Rng(3).stream("m"))
         grid = im.patchify(img, 2, 2)
         tensors = im.image_params_to_tensors(p)
-        loss, tape = ad.record_forward(
+        loss, _ = ad.record_forward(
             im.image_loss_fn,
             tensors,
             grid.patches[None],
@@ -324,7 +335,31 @@ class TestTrainingStep:
         recon, _ = im.reconstruct(img, plan, p)
         direct = im.masked_mse(im.patchify(recon, 2, 2), grid, plan)
         assert loss == direct
-        assert ad.replay(tape) > 0
+
+    def test_nonzero_biases_enter_both_routes(self):
+        # init zero-fills the biases and norm shifts, so only drawn values show
+        # a bias that one route adds with the wrong sign.  The tape scales the
+        # sum by 1/n where masked_mse divides by n: equal to about one ulp.
+        like = tiny_params(n_tokens=16, patch=4, k_h=2, k_w=2, n_steps=3)
+        rng = np.random.default_rng(12)
+        tensors = im.image_params_to_tensors(like)
+        for name in ("enc.bias", "dec.bias", "dec.norm.delta", "et.norm.delta"):
+            tensors[name] = rng.normal(0, 0.5, tensors[name].shape)
+        p = im.image_params_from_tensors(tensors, like)
+        img = gen_synthetic_images(3, 1, size=8)[0]
+        plan = im.make_mask_plan(16, 6, 5, Rng(3).stream("m"))
+        grid = im.patchify(img, 2, 2)
+        loss, _ = ad.record_forward(
+            im.image_loss_fn,
+            tensors,
+            grid.patches[None],
+            plan.replaced_mask(16)[None],
+            plan.occluded_mask(16)[None],
+            p,
+        )
+        recon, _ = im.reconstruct(img, plan, p)
+        direct = im.masked_mse(im.patchify(recon, 2, 2), grid, plan)
+        assert abs(loss - direct) <= 1e-14 * abs(direct)
 
     def test_lr_zero_training_keeps_params(self):
         p = tiny_params(n_tokens=4, patch=6, k_h=1, k_w=6)
