@@ -1,15 +1,15 @@
 """Reverse-mode differentiation on an explicit tape of primitive ops.
 
 A `Tape` records a computation as a topologically ordered list of primitive
-operations (matmul, add, masked softmax, attention terms, ...), each node
-saving its forward value.  `backward` walks the tape once in reverse and
-reports the exact gradients of the recorded scalar for the leaves that
-`Tape.param` names.
+operations (matmul, add, masked softmax, attention terms, ...); `finish`
+keeps the result and the forward values that some VJP reads.  `backward`
+walks the tape in reverse and reports the exact gradients of the recorded
+scalar for the leaves that `Tape.param` names.
 
-Each primitive is declared once: `_primitive(name, fwd, bwd)` on its
-constructor gives the op name, the forward, the vector-Jacobian product
-(one gradient per input) and the constructor together.  The constructor
-returns its input Vars and its meta, and the decorator records the node.
+Each primitive is declared once: `_primitive(name, fwd, bwd, reads=...)` on
+its constructor gives the op name, the forward, the vector-Jacobian product
+(one gradient per input), what that VJP reads and the constructor together.
+The constructor returns its input Vars and meta; the decorator records it.
 `Var`'s binary operators, `**`, `reshape` and `sum` are these constructors.
 
 The primitive set is closed: model code must be composed from the functions
@@ -99,28 +99,38 @@ class Tape:
         return Var(self, len(self.nodes) - 1)
 
     def finish(self, result: "Var") -> None:
+        """Mark the recorded scalar, and release every value no VJP reads to a
+        read-only zero-stride view of its shape.  The tape takes no more ops."""
         if result.tape is not self:
             raise TapeError("result does not belong to this tape")
         if result.value.shape != ():
             raise TapeError(f"recorded result must be scalar, got {result.value.shape}")
         self.result = result.idx
+        keep = {result.idx}  # a value's readers all come after it
+        for idx, node in reversed(list(enumerate(self.nodes))):
+            keep.update(idx if r == "out" else node.inputs[r] for r in _READS.get(node.op, ()))
+            if idx not in keep:
+                node.value = np.broadcast_to(np.zeros((), node.value.dtype), node.value.shape)
 
 
 # ---------------------------------------------------------------------------
 # Primitives: op name -> (forward, backward)
 #
 # forward(inputs, meta) -> value
-# backward(grad_out, inputs, value, meta) -> one gradient per input
+# backward(grad_out, inputs, value, meta) -> one gradient per input; of the
+# inputs and value that `reads` does not name ("out": value), it reads shapes
 
 _OPS: dict[str, tuple[Callable, Callable]] = {}
+_READS: dict[str, tuple[int | str, ...]] = {}
 _WRITES_GRAD: set[str] = set()  # ops whose backward may write into grad_out
 
 
-def _primitive(name: str, fwd: Callable, bwd: Callable, writes_grad: bool = False):
+def _primitive(name: str, fwd: Callable, bwd: Callable, *, reads: tuple, writes_grad: bool = False):
     """Declare primitive `name` on its constructor.  The decorated function
     returns its input Vars and the node's meta; the constructor it becomes
     records the node and returns its Var."""
     _OPS[name] = (fwd, bwd)
+    _READS[name] = reads
     if writes_grad:
         _WRITES_GRAD.add(name)
 
@@ -129,9 +139,10 @@ def _primitive(name: str, fwd: Callable, bwd: Callable, writes_grad: bool = Fals
         def record(*args, **kwargs):
             inputs, meta = build(*args, **kwargs)
             tape = inputs[0].tape
-            for v in inputs:
-                if v.tape is not tape:
-                    raise TapeError("all operands must belong to the same tape")
+            if tape.result is not None:
+                raise TapeError("tape is finished; record on a new tape")
+            if any(v.tape is not tape for v in inputs):
+                raise TapeError("all operands must belong to the same tape")
             out = np.asarray(fwd([v.value for v in inputs], meta))
             tape.nodes.append(Node(name, tuple(v.idx for v in inputs), out, meta))
             return Var(tape, len(tape.nodes) - 1)
@@ -145,6 +156,7 @@ def _primitive(name: str, fwd: Callable, bwd: Callable, writes_grad: bool = Fals
     "add",
     lambda ins, meta: ins[0] + ins[1],
     lambda g, ins, out, meta: [_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)],
+    reads=(),
 )
 def add(a: Var, b: Var) -> Var:
     return (a, b), {}
@@ -154,6 +166,7 @@ def add(a: Var, b: Var) -> Var:
     "sub",
     lambda ins, meta: ins[0] - ins[1],
     lambda g, ins, out, meta: [_unbroadcast(g, ins[0].shape), _unbroadcast(-g, ins[1].shape)],
+    reads=(),
 )
 def sub(a: Var, b: Var) -> Var:
     return (a, b), {}
@@ -171,12 +184,14 @@ def _mul_grad(g: Array, a: Array, other: Array) -> Array:
     "mul",
     lambda ins, meta: ins[0] * ins[1],
     lambda g, ins, out, meta: [_mul_grad(g, ins[0], ins[1]), _mul_grad(g, ins[1], ins[0])],
+    reads=(0, 1),
 )
 def mul(a: Var, b: Var) -> Var:
     return (a, b), {}
 
 
-@_primitive("scale", lambda ins, meta: meta["c"] * ins[0], lambda g, ins, out, meta: [meta["c"] * g])
+@_primitive("scale", lambda ins, meta: meta["c"] * ins[0],
+            lambda g, ins, out, meta: [meta["c"] * g], reads=())
 def scale(a: Var, c: float) -> Var:
     return (a,), {"c": float(c)}
 
@@ -194,7 +209,7 @@ def _matmul_vjp(g, ins, out, meta):
     return [_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)]
 
 
-@_primitive("matmul", lambda ins, meta: np.matmul(ins[0], ins[1]), _matmul_vjp)
+@_primitive("matmul", lambda ins, meta: np.matmul(ins[0], ins[1]), _matmul_vjp, reads=(0, 1))
 def matmul(a: Var, b: Var) -> Var:
     return (a, b), {}
 
@@ -203,6 +218,7 @@ def matmul(a: Var, b: Var) -> Var:
     "transpose",
     lambda ins, meta: ins[0].transpose(meta["perm"]),
     lambda g, ins, out, meta: [g.transpose(tuple(np.argsort(meta["perm"])))],
+    reads=(),
 )
 def transpose(a: Var, perm: tuple[int, ...]) -> Var:
     # normalize negative axes so the backward pass can invert the permutation
@@ -214,6 +230,7 @@ def transpose(a: Var, perm: tuple[int, ...]) -> Var:
     "reshape",
     lambda ins, meta: ins[0].reshape(meta["shape"]),
     lambda g, ins, out, meta: [g.reshape(ins[0].shape)],
+    reads=(),
 )
 def reshape(a: Var, shape: tuple[int, ...]) -> Var:
     return (a,), {"shape": tuple(shape)}
@@ -225,12 +242,13 @@ def _sum_vjp(g, ins, out, meta):
     return [np.broadcast_to(g, ins[0].shape).copy()]
 
 
-@_primitive("sum", lambda ins, meta: ins[0].sum(axis=meta["axis"]), _sum_vjp)
+@_primitive("sum", lambda ins, meta: ins[0].sum(axis=meta["axis"]), _sum_vjp, reads=())
 def sum_(a: Var, axis: int | None = None) -> Var:
     return (a,), {"axis": axis}
 
 
-@_primitive("relu", lambda ins, meta: K.relu(ins[0]), lambda g, ins, out, meta: [g * (ins[0] > 0)])
+@_primitive("relu", lambda ins, meta: K.relu(ins[0]),
+            lambda g, ins, out, meta: [g * (ins[0] > 0)], reads=(0,))
 def relu(a: Var) -> Var:
     return (a,), {}
 
@@ -239,6 +257,7 @@ def relu(a: Var) -> Var:
     "power",
     lambda ins, meta: ins[0] ** meta["n"],
     lambda g, ins, out, meta: [meta["n"] * ins[0] ** (meta["n"] - 1) * g],
+    reads=(0,),
 )
 def power(a: Var, n: int) -> Var:
     return (a,), {"n": int(n)}
@@ -248,12 +267,14 @@ def power(a: Var, n: int) -> Var:
     "sigmoid",
     lambda ins, meta: K.stable_sigmoid(ins[0]),
     lambda g, ins, out, meta: [g * out * (1.0 - out)],
+    reads=("out",),
 )
 def sigmoid(a: Var) -> Var:
     return (a,), {}
 
 
-@_primitive("log", lambda ins, meta: np.log(ins[0]), lambda g, ins, out, meta: [g / ins[0]])
+@_primitive("log", lambda ins, meta: np.log(ins[0]),
+            lambda g, ins, out, meta: [g / ins[0]], reads=(0,))
 def log(a: Var) -> Var:
     return (a,), {}
 
@@ -262,6 +283,7 @@ def log(a: Var) -> Var:
     "mean_subtract",
     lambda ins, meta: K.mean_subtract(ins[0]),
     lambda g, ins, out, meta: [K.mean_subtract(g)],
+    reads=(),
 )
 def mean_subtract(a: Var) -> Var:
     return (a,), {}
@@ -271,6 +293,7 @@ def mean_subtract(a: Var) -> Var:
     "rsqrt_normalize",
     lambda ins, meta: K.rsqrt_normalize(ins[0], meta["epsilon"]),
     lambda g, ins, out, meta: [K.rsqrt_normalize_backward(g, ins[0], meta["epsilon"])],
+    reads=(0,),
 )
 def rsqrt_normalize(a: Var, epsilon: float) -> Var:
     return (a,), {"epsilon": float(epsilon)}
@@ -280,6 +303,7 @@ def rsqrt_normalize(a: Var, epsilon: float) -> Var:
     "masked_softmax",
     lambda ins, meta: K.masked_softmax(ins[0], meta["mask"]),
     lambda g, ins, out, meta: [K.softmax_backward(g, out, meta["mask"], out=g)],
+    reads=("out",),
     writes_grad=True,  # dS goes over the incoming gradient
 )
 def masked_softmax(a: Var, mask: Array | None) -> Var:
@@ -299,7 +323,8 @@ def _attention_terms_vjp(grad, ins, out, meta):
     return [gg, _unbroadcast(ga, a.shape), gw]
 
 
-@_primitive("attention_terms", lambda ins, meta: K.attention_terms(*ins), _attention_terms_vjp)
+@_primitive("attention_terms", lambda ins, meta: K.attention_terms(*ins), _attention_terms_vjp,
+            reads=(0, 1, 2))
 def attention_terms(g: Var, a: Var, w: Var) -> Var:
     """Attention's "from" plus "to" term (see `_kernels.attention_terms`)."""
     return (g, a, w), {}
@@ -311,7 +336,8 @@ def _gather_vjp(g, ins, out, meta):
     return [acc]
 
 
-@_primitive("gather", lambda ins, meta: np.take(ins[0], meta["idx"], axis=0), _gather_vjp)
+@_primitive("gather", lambda ins, meta: np.take(ins[0], meta["idx"], axis=0), _gather_vjp,
+            reads=())
 def gather(a: Var, idx: Array) -> Var:
     return (a,), {"idx": np.asarray(idx, dtype=np.intp)}
 
@@ -325,6 +351,7 @@ def _where_rows_vjp(g, ins, out, meta):
     "where_rows",
     lambda ins, meta: np.where(meta["rows"][..., None], ins[1], ins[0]),
     _where_rows_vjp,
+    reads=(),
 )
 def where_rows(a: Var, vec: Var, rows: Array) -> Var:
     """Replace rows of `a` (last-axis vectors) flagged by `rows` with `vec`."""
@@ -337,7 +364,8 @@ def _concat_vjp(g, ins, out, meta):
     return list(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
 
-@_primitive("concat", lambda ins, meta: np.concatenate(ins, axis=meta["axis"]), _concat_vjp)
+@_primitive("concat", lambda ins, meta: np.concatenate(ins, axis=meta["axis"]), _concat_vjp,
+            reads=())
 def concat(parts: list[Var], axis: int = -1) -> Var:
     return tuple(parts), {"axis": axis}
 
@@ -436,10 +464,7 @@ def backward(tape: Tape) -> dict[str, Array]:
         _, bwd = _OPS[node.op]
         ins = [tape.nodes[i].value for i in node.inputs]
         for inp_idx, inp_grad in zip(node.inputs, bwd(g, ins, node.value, node.meta)):
-            if inp_idx in grads:
-                grads[inp_idx] = grads[inp_idx] + inp_grad
-            else:
-                grads[inp_idx] = inp_grad
+            grads[inp_idx] = grads[inp_idx] + inp_grad if inp_idx in grads else inp_grad
     out = {}
     for name, idx in tape.params.items():
         g = grads.get(idx)

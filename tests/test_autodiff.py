@@ -251,6 +251,7 @@ class TestRecordForward:
             ("foreign_result", "result does not belong to this tape"),
             ("result_not_a_var", "recorded function must return a Var"),
             ("backward_before_finish", r"call finish\(\) first"),
+            ("record_after_finish", "tape is finished"),
         ],
     )
     def test_tape_misuse_rejected(self, misuse, message):
@@ -260,6 +261,10 @@ class TestRecordForward:
                 tape.finish(ad.Tape().constant(1.0))  # a scalar, so only the tape is wrong
             elif misuse == "result_not_a_var":
                 ad.record_forward(lambda tape, pv: float(ad.sum_(pv["w"]).value), {"w": np.ones(2)})
+            elif misuse == "record_after_finish":
+                w = tape.param("w", np.ones(2))
+                tape.finish(ad.sum_(w))
+                ad.sum_(w)
             else:
                 tape.constant(1.0)
                 ad.backward(tape)
@@ -457,6 +462,16 @@ class TestAttentionTerms:
         assert all(r.passed for r in reports), [(r.name, r.worst_rel_err) for r in reports]
 
 
+def _run_primitive_tests(monkeypatch, check):
+    """Run every direct FD test of a primitive with `check` in place of
+    `TestPrimitives.check`."""
+    monkeypatch.setattr(TestPrimitives, "check", check)
+    for name, test in vars(TestPrimitives).items():
+        if name.startswith("test_") and list(inspect.signature(test).parameters) == ["self"]:
+            test(TestPrimitives())
+    TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
+
+
 def test_every_primitive_has_a_finite_difference_test(monkeypatch):
     """Walks the primitive registry: every primitive is recorded by some
     `TestPrimitives.check` call, the direct FD test of its VJP."""
@@ -466,13 +481,39 @@ def test_every_primitive_has_a_finite_difference_test(monkeypatch):
         values = {name: np.ones(shape) for name, shape in args.items()}
         recorded.update(node.op for node in ad.record_forward(build, values)[1].nodes)
 
-    monkeypatch.setattr(TestPrimitives, "check", record_ops)
-    for name, test in vars(TestPrimitives).items():
-        if name.startswith("test_") and list(inspect.signature(test).parameters) == ["self"]:
-            test(TestPrimitives())
-    TestAttentionTerms().test_primitive_vjp_matches_finite_differences(lead=())
+    _run_primitive_tests(monkeypatch, record_ops)
     missing = set(ad._OPS) - recorded
     assert not missing, f"primitives with no finite-difference test: {sorted(missing)}"
+
+
+def test_every_primitive_declares_what_its_vjp_reads(monkeypatch):
+    """Each VJP of the primitive tests' tapes returns the same gradient bits
+    when every input and output its declaration does not read is NaN, so
+    `Tape.finish` may release those values."""
+    checked = set()
+
+    def check_reads(self, build, args, seed=0):
+        rng = np.random.default_rng(seed)
+        tape = ad.Tape()  # never finished: every value stays
+        build(tape, {k: tape.param(k, rng.normal(0, 1, shape)) for k, shape in args.items()})
+        for node in tape.nodes:
+            if node.op == "leaf":
+                continue
+            _, bwd = ad._OPS[node.op]
+            reads = ad._READS[node.op]
+            ins = [tape.nodes[i].value for i in node.inputs]
+            poisoned = [v if k in reads else np.full(v.shape, np.nan) for k, v in enumerate(ins)]
+            out = node.value if "out" in reads else np.full(node.value.shape, np.nan)
+            g = rng.normal(0, 1, node.value.shape)
+            want = bwd(g.copy(), ins, node.value, node.meta)  # masked_softmax writes into g
+            got = bwd(g.copy(), poisoned, out, node.meta)
+            assert len(got) == len(want) == len(ins), node.op
+            for w, h in zip(want, got):
+                assert w.shape == h.shape and w.tobytes() == h.tobytes(), (node.op, reads)
+            checked.add(node.op)
+
+    _run_primitive_tests(monkeypatch, check_reads)
+    assert checked == set(ad._OPS)
 
 
 def test_tape_shapes_the_benchmark_counts():
@@ -624,6 +665,32 @@ class TestAttentionMemory:
         tape = ad.record_forward(loss, {"x": x, **_block_tensors(et)})[1]
         assert self.peak(lambda: ad.backward(tape)) < self.LIMIT
 
+    def test_finish_releases_the_scores(self, block):
+        """The scores feed only the masked softmax, whose VJP reads its
+        output: `finish` leaves the scores a zero-stride view of their
+        shape, keeps the weights, and moves no loss or gradient bit."""
+        et, x = block
+        tensors = {"x": x, **_block_tensors(et)}
+
+        def loss(tape, pv):
+            x1 = et_step_v(pv["x"], pv, et, 0.1)
+            return (x1 * x1).sum()
+
+        kept = ad.Tape()  # its result is set by hand, so nothing is released
+        out = loss(kept, {name: kept.param(name, value) for name, value in tensors.items()})
+        kept.result = out.idx
+        value, tape = ad.record_forward(loss, tensors)
+        assert value == float(out.value)
+        softmax = next(node for node in tape.nodes if node.op == "masked_softmax")
+        scores = tape.nodes[softmax.inputs[0]]
+        assert scores.op == "matmul"
+        assert scores.value.shape == (self.H, self.N, self.N)
+        assert scores.value.strides == (0, 0, 0)
+        assert softmax.value.flags.owndata
+        want, got, again = ad.backward(kept), ad.backward(tape), ad.backward(tape)
+        for name in tensors:
+            assert want[name].tobytes() == got[name].tobytes() == again[name].tobytes(), name
+
 
 class TestBpttDeterminism:
     def test_identical_inputs_identical_gradients(self):
@@ -662,6 +729,15 @@ class TestAdam:
         half, _ = adam_step(params, grads, state, lr_scale=0.5)
         assert np.array_equal(half["w"], 0.5 * full["w"])
         assert (full["w"] != 0).all()
+
+    def test_eps_halves_a_first_step_of_gradient_eps(self):
+        # from zero m_hat = g and sqrt(v_hat) = |g|, so a gradient of +-EPS
+        # steps lr * EPS / (EPS + EPS) = lr / 2 against its sign
+        params = {"w": np.zeros(2)}
+        grads = {"w": np.array([optim.EPS, -optim.EPS])}
+        state = AdamState.init(params, lr=1e-3, weight_decay=0.0)
+        new, _ = adam_step(params, grads, state)
+        assert np.array_equal(new["w"], np.array([-5e-4, 5e-4]))
 
     def test_clipping_rescales_to_threshold(self):
         grads = {"a": np.full(4, 5.0), "b": np.full(9, 5.0 / 3)}

@@ -1,5 +1,6 @@
 """Seeded RNG streams, synthetic data, netpbm codecs, checkpoints."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -56,6 +57,20 @@ class TestSyntheticImages:
     def test_single_image_dims(self):
         imgs = gen_synthetic_images(0, 1, size=16, channels=1)
         assert imgs.shape == (1, 1, 16, 16)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (3, "50b21858b0ccbb26a1c056859930a6a701ebc201be97ea20757eb86115389713"),
+            # the first stripes (both the sign and the wave kind) come after 3
+            (8, "86de2d7d1720641141970e3ec3e66572485063ec7a2326139908543bbb9d01b3"),
+        ],
+    )
+    def test_golden_digest(self, n, digest):
+        """The generated bytes are pinned: a changed draw or formula shows."""
+        imgs = gen_synthetic_images(0, n)
+        assert imgs.shape == (n, 1, 32, 32)
+        assert hashlib.sha256(np.ascontiguousarray(imgs, dtype="<f8").tobytes()).hexdigest() == digest
 
     def test_normalized_per_image(self):
         imgs = gen_synthetic_images(5, 20)

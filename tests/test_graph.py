@@ -1,6 +1,7 @@
 """Graph pipeline: embedding, forward, loss, metrics, splits, generator."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import numpy.testing as npt
@@ -536,6 +537,25 @@ class TestPlantedAnomalyGraph:
     def test_rate_bounds(self):
         with pytest.raises(InvalidInputError):
             gr.gen_planted_anomaly_graph(0, 10, 0.7, 1.0)
+
+    def test_golden_digests(self):
+        """The generated bytes are pinned.  Three communities, so an
+        anomaly's community offset has a sign that shows: with two,
+        (c + 1) % 2 == (c - 1) % 2."""
+        g = gr.gen_planted_anomaly_graph(0, 60, 0.1, 2.0, n_communities=3)
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+            for name, a, dtype in (
+                ("edges", g.edges, "<i8"),
+                ("features", g.features, "<f8"),
+                ("labels", g.labels, "<i8"),
+            )
+        }
+        assert digests == {
+            "edges": "046f398fec92dd2bbc56257f06afa35a7414ab0de6c0f21c3a0890803ad23c11",
+            "features": "376dfe1ad4c4b28151e0b8ad59df9335ecf63a8c4c29f74e260905d67b9a8535",
+            "labels": "518d61650475dbfc04b454a11380e323c869dc21a48ea57550dd0c4992f9e1d9",
+        }
 
     @pytest.mark.parametrize("n_communities", [1, 9], ids=["one", "above_n_features"])
     def test_community_count_bounds(self, n_communities):
